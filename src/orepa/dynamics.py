@@ -22,7 +22,8 @@ from .layers import as_dense
 from .squeeze import (apply_branch_scaling, block_forward_squeezed,
                       check_center_alignable, merge_parallel, merge_sequential,
                       squeeze_block, squeeze_branch)
-from .tensor import ConvGeometry, KernelTensor, ShapeError, Tensor, conv2d_direct
+from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _centered,
+                     _correlate, _correlate_grad_w, _pad_hw, conv2d_direct)
 
 
 # --------------------------------------------------------------------------
@@ -117,60 +118,34 @@ def _batched_arr(x):
 
 def _conv_grad_w(x, gout, kernel, geom):
     """d<gout, conv(x, kernel, geom)> / d kernel, native grouped shape."""
-    arr = _batched_arr(x)
-    g = _batched_arr(gout)
-    p_t, p_b, p_l, p_r = geom.padding
-    s_h, s_w = geom.stride
-    xp = np.pad(arr, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel.kh, kernel.kw), axis=(2, 3))
-    windows = windows[:, :, ::s_h, ::s_w]
-    cig = kernel.in_channels_per_group
-    cog = kernel.out_channels // kernel.groups
-    parts = []
-    for gi in range(kernel.groups):
-        xg = windows[:, gi * cig:(gi + 1) * cig]
-        gg = g[:, gi * cog:(gi + 1) * cog]
-        parts.append(np.einsum("bchwij,bohw->ocij", xg, gg, optimize=True))
-    return parts[0] if kernel.groups == 1 else np.concatenate(parts, axis=0)
+    return _correlate_grad_w(_pad_hw(_batched_arr(x), geom.padding), _batched_arr(gout),
+                             kernel.kh, kernel.kw, kernel.groups, geom.stride)
 
 
 def _conv_grad_x(gout, kernel):
-    """Input gradient of a VALID stride-1 convolution."""
-    g = _batched_arr(gout)
-    ph, pw = kernel.kh - 1, kernel.kw - 1
-    gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(gp, (kernel.kh, kernel.kw), axis=(2, 3))
-    cig = kernel.in_channels_per_group
-    cog = kernel.out_channels // kernel.groups
-    parts = []
-    for gi in range(kernel.groups):
-        wg = kernel.data[gi * cog:(gi + 1) * cog, :, ::-1, ::-1]
-        gg = windows[:, gi * cog:(gi + 1) * cog]
-        parts.append(np.einsum("bohwij,ocij->bchw", gg, wg, optimize=True))
-    return parts[0] if kernel.groups == 1 else np.concatenate(parts, axis=1)
+    """Input gradient of a VALID stride-1 convolution: the full correlation
+    of gout with the flipped kernel, in- and out-channels swapped per group."""
+    g, kh, kw = kernel.groups, kernel.kh, kernel.kw
+    gp = _pad_hw(_batched_arr(gout), (kh - 1, kh - 1, kw - 1, kw - 1))
+    flipped = kernel.data[..., ::-1, ::-1].reshape(g, -1, kernel.in_channels_per_group, kh, kw)
+    flipped = flipped.transpose(0, 2, 1, 3, 4).reshape(-1, kernel.out_channels // g, kh, kw)
+    return _correlate(gp, flipped, g)
 
 
 def _merge_backward(w1, w2, gout):
-    """Adjoint of merge_sequential: gradient w.r.t. both dense kernels."""
-    k1h, k1w = w1.kh, w1.kw
-    dw1 = np.zeros(w1.shape)
-    dw2 = np.zeros(w2.shape)
-    for a in range(w2.kh):
-        for b in range(w2.kw):
-            g_slice = gout[:, :, a:a + k1h, b:b + k1w]
-            dw2[:, :, a, b] = np.einsum("qpmn,cpmn->qc", g_slice, w1.data, optimize=True)
-            dw1 += np.einsum("qc,qpmn->cpmn", w2.data[:, :, a, b], g_slice, optimize=True)
-    return dw1, dw2
+    """Adjoint of merge_sequential: gradient w.r.t. both dense kernels, each
+    a weight adjoint of correlating gout: dw1 against w2, and dw2 against w1
+    with both channel axes swapped (views, so no dense operand is copied)."""
+    dw1 = _correlate_grad_w(gout, w2.data, w1.kh, w1.kw)
+    dw2 = _correlate_grad_w(gout.transpose(1, 0, 2, 3), w1.data.transpose(1, 0, 2, 3),
+                            w2.kh, w2.kw)
+    return dw1, dw2.transpose(1, 0, 2, 3)
 
 
 def _dense_grad_to_native(dense_grad, kernel):
-    if kernel.groups == 1:
-        return dense_grad
-    cig = kernel.in_channels_per_group
-    cog = kernel.out_channels // kernel.groups
-    parts = [dense_grad[g * cog:(g + 1) * cog, g * cig:(g + 1) * cig]
-             for g in range(kernel.groups)]
-    return np.concatenate(parts, axis=0)
+    g = kernel.groups
+    blocks = dense_grad.reshape(g, kernel.out_channels // g, g, -1, kernel.kh, kernel.kw)
+    return blocks[np.arange(g), :, np.arange(g)].reshape(kernel.shape)
 
 
 def _native_grad_to_param(grad, spec):
@@ -208,10 +183,7 @@ def backward_through_squeeze(block, x, upstream):
 
     grad_map = {}
     for bi, branch in enumerate(block.branches):
-        kb = branch_kernels[bi]
-        oh = (w_e.kh - kb.kh) // 2
-        ow = (w_e.kw - kb.kw) // 2
-        g_b = g_e[:, :, oh:oh + kb.kh, ow:ow + kb.kw]
+        g_b = g_e[_centered(g_e.shape, branch_kernels[bi].shape)]
         pre = branch_prefix[bi][-1]
         if branch.scaling is not None:
             grad_map[(bi, -1)] = np.einsum("opij,opij->o", pre.data, g_b, optimize=True)
@@ -234,10 +206,9 @@ def backward_through_expanded(block, x, upstream):
     check_center_alignable(block)
     ps = ParamSet(block)
     geom = block.eval_geometry()
-    p_t, p_b, p_l, p_r = geom.padding
     s_h, s_w = geom.stride
     arr = _batched_arr(x)
-    xp = np.pad(arr, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r)))
+    xp = _pad_hw(arr, geom.padding)
     keh, kew = block.effective_k
     h_f = xp.shape[2] - keh + 1
     w_f = xp.shape[3] - kew + 1
@@ -252,11 +223,8 @@ def backward_through_expanded(block, x, upstream):
         acts = [xp]
         for w in branch.weights:
             acts.append(conv2d_direct(Tensor(acts[-1]), w, valid).data)
-        kb_h, kb_w = branch.effective_k
-        mh = (keh - kb_h) // 2
-        mw = (kew - kb_w) // 2
         g_s = np.zeros((arr.shape[0], block.out_ch, acts[-1].shape[2], acts[-1].shape[3]))
-        g_s[:, :, mh:mh + h_f, mw:mw + w_f] = g_sum
+        g_s[_centered(g_s.shape, g_sum.shape)] = g_sum
         if branch.scaling is not None:
             grad_map[(bi, -1)] = np.einsum("bchw,bchw->c", acts[-1], g_s, optimize=True)
             g_a = g_s * np.asarray(branch.scaling, dtype=np.float64)[None, :, None, None]
@@ -724,19 +692,21 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
             "params": history}
 
 
+def _aligned_branch_kernels(block):
+    """Each branch squeezed on its own, zero-embedded at the common extents."""
+    kernels = [squeeze_branch(b).data for b in block.branches]
+    hw = tuple(max(k.shape[axis] for k in kernels) for axis in (2, 3))
+    bufs = [np.zeros(k.shape[:2] + hw) for k in kernels]
+    for buf, k in zip(bufs, kernels):
+        buf[_centered(buf.shape, k.shape)] = k
+    return bufs
+
+
 def branch_similarity(block):
     """Cosine similarity matrix between individually squeezed branches,
     center-aligned to common extents. Zero-norm branches score 0 against
     every other branch; the diagonal is 1 by convention."""
-    kernels = [squeeze_branch(b) for b in block.branches]
-    keh = max(k.kh for k in kernels)
-    kew = max(k.kw for k in kernels)
-    flats = []
-    for k in kernels:
-        buf = np.zeros((k.out_channels, k.in_channels_per_group, keh, kew))
-        oh, ow = (keh - k.kh) // 2, (kew - k.kw) // 2
-        buf[:, :, oh:oh + k.kh, ow:ow + k.kw] = k.data
-        flats.append(buf.ravel())
+    flats = [k.ravel() for k in _aligned_branch_kernels(block)]
     m = len(flats)
     norms = [float(np.linalg.norm(f)) for f in flats]
     sim = np.eye(m)
@@ -753,37 +723,9 @@ def branch_similarity(block):
 def channel_norm_profile(block):
     """Per-branch, per-output-channel kernel norms, normalized so each
     channel's norms sum to 1 across branches (all-zero channels stay 0)."""
-    kernels = [squeeze_branch(b) for b in block.branches]
-    keh = max(k.kh for k in kernels)
-    kew = max(k.kw for k in kernels)
-    rows = []
-    for k in kernels:
-        buf = np.zeros((k.out_channels, k.in_channels_per_group, keh, kew))
-        oh, ow = (keh - k.kh) // 2, (kew - k.kw) // 2
-        buf[:, :, oh:oh + k.kh, ow:ow + k.kw] = k.data
-        rows.append(np.linalg.norm(buf.reshape(k.out_channels, -1), axis=1))
-    prof = np.stack(rows)
+    prof = np.stack([np.linalg.norm(k.reshape(k.shape[0], -1), axis=1)
+                     for k in _aligned_branch_kernels(block)])
     totals = prof.sum(axis=0)
     safe = np.where(totals > 0, totals, 1.0)
     return prof / safe[None, :]
 
-
-def post_add_standardize(y, scale=None, bias=None, eps=1e-5):
-    """Per-channel standardization over batch and space, then affine.
-
-    This is the stabilizing transform that sits after the branch sum,
-    outside the linear region the squeeze covers; both training routes
-    share it unchanged.
-    """
-    arr = _batched_arr(y)
-    mean = arr.mean(axis=(0, 2, 3), keepdims=True)
-    var = arr.var(axis=(0, 2, 3), keepdims=True)
-    out = (arr - mean) / np.sqrt(var + eps)
-    c = arr.shape[1]
-    if scale is not None:
-        out = out * np.asarray(scale, dtype=arr.dtype).reshape(1, c, 1, 1)
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=arr.dtype).reshape(1, c, 1, 1)
-    if isinstance(y, Tensor):
-        return Tensor(out if y.rank == 4 else out[0])
-    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import LayerSpec, as_dense, materialize
-from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor,
+from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _centered,
                      conv2d_direct, pad_spatial, scale_by_channel, sum_over)
 
 
@@ -164,10 +164,12 @@ def merge_sequential(w1, w2):
     c2 = w2.out_channels
     keh, kew = k1h + w2.kh - 1, k1w + w2.kw - 1
     out = np.zeros((c2, c0, keh, kew), dtype=w1.data.dtype)
+    # scatter form: no padded or transposed copy of w1 (see orepa.tensor)
+    w1_rows = w1.data.reshape(c1, -1)
     for a in range(w2.kh):
         for b in range(w2.kw):
-            out[:, :, a:a + k1h, b:b + k1w] += np.einsum(
-                "qc,cpij->qpij", w2.data[:, :, a, b], w1.data, optimize=True)
+            out[:, :, a:a + k1h, b:b + k1w] += (w2.data[:, :, a, b] @ w1_rows).reshape(
+                c2, c0, k1h, k1w)
     return KernelTensor(out, groups=1)
 
 
@@ -187,8 +189,7 @@ def merge_parallel(kernels):
     out = np.zeros((first.out_channels, first.in_channels_per_group, keh, kew),
                    dtype=first.data.dtype)
     for k in kernels:
-        oh, ow = (keh - k.kh) // 2, (kew - k.kw) // 2
-        out[:, :, oh:oh + k.kh, ow:ow + k.kw] += k.data
+        out[_centered(out.shape, k.shape)] += k.data
     return KernelTensor(out, groups=first.groups)
 
 
@@ -242,13 +243,6 @@ def squeeze_block(block):
     return SqueezeResult(kernel=kernel, effective_k=(kernel.kh, kernel.kw), trace=trace)
 
 
-def _center_crop(t, h, w):
-    arr = t.data
-    mh = (arr.shape[-2] - h) // 2
-    mw = (arr.shape[-1] - w) // 2
-    return Tensor(arr[..., mh:mh + h, mw:mw + w])
-
-
 def check_center_alignable(block):
     """Multi-branch blocks need odd per-branch extents to align centers."""
     if len(block.branches) == 1:
@@ -285,7 +279,7 @@ def expanded_forward(block, x):
             a = conv2d_direct(a, w, valid)
         if branch.scaling is not None:
             a = scale_by_channel(a, branch.scaling)
-        outs.append(_center_crop(a, h_out, w_out))
+        outs.append(Tensor(a.data[_centered(a.shape, (h_out, w_out))]))
     y = sum_over(outs)
     s_h, s_w = geom.stride
     if (s_h, s_w) != (1, 1):

@@ -4,6 +4,18 @@ Convolution here is cross-correlation (no kernel flip), the deep-learning
 convention. With symmetric "same" padding the output pixel at (h, w) reads
 the input window centered at (h, w), i.e. taps are offset by
 k - floor((K - 1) / 2) along each spatial axis.
+
+Two private tap-loop kernels carry every convolution-shaped product:
+_correlate, a VALID strided grouped cross-correlation, and its weight
+adjoint _correlate_grad_w. conv2d_direct pads x and correlates. In
+dynamics, _conv_grad_w pads x alike and takes the weight adjoint against
+the output gradient; _conv_grad_x pads the output gradient by K - 1 and
+correlates it with the kernel flipped in space, in/out channels swapped
+per group; _merge_backward takes two weight adjoints of the merged
+kernel's gradient, against w2 and, with every channel axis pair swapped,
+against w1. squeeze.merge_sequential, the transpose of that, keeps its
+own tap loop: through _correlate it would need a padded, transposed copy
+of the large dense w1.
 """
 
 from __future__ import annotations
@@ -179,13 +191,76 @@ def _restore(arr, squeezed):
     return Tensor(arr[0] if squeezed else arr)
 
 
+def _centered(outer, inner):
+    """Index of an inner window centered on an outer shape's trailing two axes."""
+    mh, mw = (outer[-2] - inner[-2]) // 2, (outer[-1] - inner[-1]) // 2
+    return (..., slice(mh, mh + inner[-2]), slice(mw, mw + inner[-1]))
+
+
+def _pad_hw(arr, padding):
+    """Zero-pad the trailing two axes by (top, bottom, left, right); no copy if all 0."""
+    p_t, p_b, p_l, p_r = padding
+    return np.pad(arr, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r))) if any(padding) else arr
+
+
 def pad_spatial(x, p_t, p_b, p_l, p_r):
     """Zero-pad the two trailing spatial axes."""
     if min(p_t, p_b, p_l, p_r) < 0:
         raise ShapeError("padding", ">= 0", (p_t, p_b, p_l, p_r))
     arr, squeezed = _batched(x)
-    out = np.pad(arr, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r)))
-    return _restore(out, squeezed)
+    return _restore(_pad_hw(arr, (p_t, p_b, p_l, p_r)), squeezed)
+
+
+def _correlate(x, w, groups=1, stride=(1, 1)):
+    """VALID grouped cross-correlation, one GEMM per kernel tap.
+
+    y[b, o, h, v] = sum_{c, i, j} w[o, c, i, j] * x[b, c', s_h*h + i, s_w*v + j]
+    for x (B, C, H, W) and w (Co, C // groups, kH, kW), c' running over the
+    channels of o's group; groups are the matmul batch axis. On an image
+    flattened over (row, column), tap (i, j) is a shift by i*W + j, so each
+    tap multiplies a view of x into rows as wide as the input, of which the
+    VALID columns are summed. A stride splits x and w into phases, each a
+    stride-1 correlation.
+    """
+    b, _, hgt, wid = x.shape
+    co, cig, kh, kw = w.shape
+    s_h, s_w = stride
+    ho, wo = (hgt - kh) // s_h + 1, (wid - kw) // s_w + 1
+    if (s_h, s_w) != (1, 1):
+        return sum(_correlate(x[..., p::s_h, q::s_w], w[..., p::s_h, q::s_w], groups)[..., :ho, :wo]
+                   for p in range(min(s_h, kh)) for q in range(min(s_w, kw)))
+    xf = x.reshape(b, groups, cig, -1)
+    n = ho * wid - (kw - 1)
+    wg = w.reshape(groups, co // groups, cig, kh, kw)
+    tap = np.empty((b,) + wg.shape[:2] + (ho, wid), dtype=np.result_type(x, w))
+    out = tap.reshape(tap.shape[:3] + (-1,))[..., :n]
+    y = np.zeros(tap.shape[:-1] + (wo,), dtype=tap.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            wt = np.ascontiguousarray(wg[..., i, j])
+            # with one input channel per group the GEMM is an outer product
+            (np.multiply if cig == 1 else np.matmul)(wt, xf[..., i * wid + j:][..., :n], out=out)
+            y += tap[..., :wo]
+    return y.reshape(b, co, ho, wo)
+
+
+def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1)):
+    """Weight adjoint of _correlate, d<g, _correlate(x, w, groups, stride)> / dw
+    of shape (Co, C // groups, kh, kw): one GEMM per kernel tap and group,
+    contracting batch and space against a strided slice of x."""
+    b, c, hgt, wid = x.shape
+    co, ho, wo = g.shape[1:]
+    cig, cog = c // groups, co // groups
+    s_h, s_w = stride
+    gg = g.reshape(b, groups, cog, -1).transpose(1, 2, 0, 3).reshape(groups, cog, -1)
+    xg = x.reshape(b, groups, cig, hgt, wid).transpose(1, 2, 0, 3, 4)
+    dw = np.empty((groups, cog, cig, kh, kw), dtype=np.result_type(x, g))
+    xs = np.empty((groups, cig, b, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            np.copyto(xs, xg[..., i:i + s_h * (ho - 1) + 1:s_h, j:j + s_w * (wo - 1) + 1:s_w])
+            dw[..., i, j] = gg @ xs.reshape(groups, cig, -1).swapaxes(-1, -2)
+    return dw.reshape(co, cig, kh, kw)
 
 
 def conv2d_direct(x, w, geom=None, bias=None):
@@ -203,24 +278,12 @@ def conv2d_direct(x, w, geom=None, bias=None):
         raise ShapeError("channels", w.in_channels, arr.shape[1])
     if arr.dtype != w.data.dtype:
         raise ShapeError("dtype", dtype_name(w.data.dtype), dtype_name(arr.dtype))
-    p_t, p_b, p_l, p_r = geom.padding
-    s_h, s_w = geom.stride
-    xp = np.pad(arr, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r)))
+    xp = _pad_hw(arr, geom.padding)
     if xp.shape[2] < w.kh:
         raise ShapeError("height", f">= kernel height {w.kh}", xp.shape[2])
     if xp.shape[3] < w.kw:
         raise ShapeError("width", f">= kernel width {w.kw}", xp.shape[3])
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (w.kh, w.kw), axis=(2, 3))
-    windows = windows[:, :, ::s_h, ::s_w]
-    g = w.groups
-    cig = w.in_channels_per_group
-    cog = w.out_channels // g
-    parts = []
-    for gi in range(g):
-        xg = windows[:, gi * cig:(gi + 1) * cig]
-        wg = w.data[gi * cog:(gi + 1) * cog]
-        parts.append(np.einsum("bchwij,ocij->bohw", xg, wg, optimize=True))
-    y = parts[0] if g == 1 else np.concatenate(parts, axis=1)
+    y = _correlate(xp, w.data, w.groups, geom.stride)
     if bias is not None:
         bias = np.asarray(bias, dtype=arr.dtype)
         if bias.shape != (w.out_channels,):

@@ -69,6 +69,15 @@ def test_verify_corrupted_kernel_fails(tmp_path, capsys):
     assert residual >= 0.01
 
 
+def test_verify_nan_kernel_fails(tmp_path, capsys):
+    out = tmp_path / "k.okt"
+    run(["squeeze", DATA / "orepa3x3.json", "--out", out])
+    write_okt(out, KernelTensor(np.full(read_okt(out).shape, np.nan)))
+    rc = run(["verify", DATA / "orepa3x3.json", "--kernel", out, "--trials", 2])
+    assert rc == 1
+    assert "max residual nan" in capsys.readouterr().out
+
+
 def test_verify_composed_after_squeeze_always_passes(tmp_path):
     for spec in ("deepstem.json", "orepa3x3.json", "single_conv.json"):
         out = tmp_path / (spec + ".okt")

@@ -3,16 +3,17 @@ import pytest
 
 from orepa import layers as L
 from orepa.blocks import build_preset
-from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState,
+from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _conv_grad_w,
+                            _conv_grad_x, _merge_backward,
                             backward_through_expanded, backward_through_squeeze,
                             branch_similarity, channel_norm_profile,
                             finite_difference_grads, gradcheck_block,
-                            post_add_standardize, probe_branchwise_gamma,
+                            probe_branchwise_gamma,
                             probe_conv_scale_update, probe_multilayer_lemma,
                             probe_shared_gamma, project_onto, sgd_step,
                             train_toy)
-from orepa.squeeze import BlockGraph, build_branch, squeeze_block
-from orepa.tensor import KernelTensor, Tensor
+from orepa.squeeze import BlockGraph, build_branch, merge_sequential, squeeze_block
+from orepa.tensor import ConvGeometry, KernelTensor, Tensor, conv2d_direct
 
 from util import fd_grads_via_expanded, make_random_block, rand_input
 
@@ -124,6 +125,42 @@ def test_src_fd_agrees_with_test_fd():
     a = finite_difference_grads(block, x, g)
     b = fd_grads_via_expanded(block, x, g)
     assert np.max(np.abs(a - b)) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("groups", [1, 2, 4])
+def test_conv_adjoints_dot_product_identity(groups, stride, k):
+    # <g, conv(x, w)> = <grad_x, x> = <grad_w, w>; grad_x covers stride 1 only
+    rng = np.random.default_rng(100 * groups + 10 * stride + k)
+    x = rng.standard_normal((2, 4, 7, 8))
+    w = KernelTensor(rng.standard_normal((8, 4 // groups, k, k + 1)), groups=groups)
+    geom = ConvGeometry(stride=(stride, stride))
+    y = conv2d_direct(Tensor(x), w, geom).data
+    g = rng.standard_normal(y.shape)
+    lhs = np.vdot(g, y)
+    dw = _conv_grad_w(x, g, w, geom)
+    assert dw.shape == w.shape
+    assert np.vdot(dw, w.data) == pytest.approx(lhs, rel=1e-12, abs=0)
+    if stride == 1:
+        dx = _conv_grad_x(g, w)
+        assert dx.shape == x.shape
+        assert np.vdot(dx, x) == pytest.approx(lhs, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
+def test_merge_adjoint_dot_product_identity(k1, k2):
+    # merge_sequential is bilinear, so <G, merge(w1, w2)> = <dw1, w1> = <dw2, w2>
+    rng = np.random.default_rng(10 * k1 + k2)
+    w1 = KernelTensor(rng.standard_normal((5, 3, k1, k1 + 1)))
+    w2 = KernelTensor(rng.standard_normal((4, 5, k2, k2)))
+    merged = merge_sequential(w1, w2).data
+    gout = rng.standard_normal(merged.shape)
+    lhs = np.vdot(gout, merged)
+    dw1, dw2 = _merge_backward(w1, w2, gout)
+    assert (dw1.shape, dw2.shape) == (w1.shape, w2.shape)
+    assert np.vdot(dw1, w1.data) == pytest.approx(lhs, rel=1e-12, abs=0)
+    assert np.vdot(dw2, w2.data) == pytest.approx(lhs, rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -466,13 +503,3 @@ def test_channel_norm_profile_sums_to_one():
     assert prof.shape == (6, 4)
     np.testing.assert_allclose(prof.sum(axis=0), np.ones(4), atol=1e-12)
     assert np.all(prof >= 0)
-
-
-def test_post_add_standardize():
-    rng = np.random.default_rng(17)
-    y = Tensor(rng.standard_normal((4, 3, 8, 8)) * 5 + 2)
-    out = post_add_standardize(y)
-    np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.data.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
-    affine = post_add_standardize(y, scale=np.full(3, 2.0), bias=np.full(3, 1.0))
-    np.testing.assert_allclose(affine.data, out.data * 2 + 1, atol=1e-12)
