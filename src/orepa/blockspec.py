@@ -146,18 +146,33 @@ def save_checkpoint(path, doc, block):
 
 def load_checkpoint(path):
     """Rebuild a block from a checkpoint; returns (document, BlockGraph)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CKPT_FORMAT:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SpecError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != CKPT_FORMAT:
         raise SpecError(f"not a checkpoint: {path}")
+    if "blockspec" not in payload:
+        raise SpecError(f"checkpoint {path} has no blockspec")
     doc = payload["blockspec"]
     block = block_from_spec(doc)
     dtype = doc.get("dtype", "f64")
-    for branch, saved in zip(block.branches, payload["branches"]):
-        for li, layer in enumerate(saved["layers"]):
-            arr = np.asarray(layer["data"]).reshape(layer["shape"])
-            branch.weights[li] = KernelTensor(arr, groups=layer["groups"], dtype=dtype)
-        if saved["scaling"] is not None:
-            branch.scaling = np.asarray(saved["scaling"],
-                                        dtype=branch.weights[-1].data.dtype)
+    try:
+        for branch, saved in zip(block.branches, payload["branches"]):
+            for li, layer in enumerate(saved["layers"]):
+                old = branch.weights[li]
+                if (tuple(layer["shape"]), layer["groups"]) != (old.shape, old.groups):
+                    raise SpecError(f"branch {branch.name} layer {li}: saved shape "
+                                    f"{layer['shape']} groups {layer['groups']}, spec builds "
+                                    f"{list(old.shape)} groups {old.groups}")
+                arr = np.asarray(layer["data"]).reshape(old.shape)
+                branch.weights[li] = KernelTensor(arr, groups=old.groups, dtype=dtype)
+            if saved["scaling"] is not None:
+                branch.scaling = np.asarray(saved["scaling"],
+                                            dtype=branch.weights[-1].data.dtype)
+    except SpecError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SpecError(f"malformed checkpoint {path}: {exc!r}") from exc
     return doc, block

@@ -1,15 +1,17 @@
 """Command-line surface: squeeze, verify, gradcheck, dynamics, bench,
 train-toy, analyze.
 
-Exit codes: 0 pass, 1 invariant violation, 2 usage or spec error,
-3 internal merge/shape error. Reports are deterministic for a given
-(spec, seed, flags); no timestamps are emitted.
+Exit codes: 0 pass, 1 invariant violation, 2 usage, spec, checkpoint,
+kernel-file or file-system error, 3 internal merge/shape error. Reports
+are deterministic for a given (spec, seed, flags); no timestamps are
+emitted, and a NaN or infinite number is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,7 +22,7 @@ from .dynamics import (OptimizerConfig, branch_similarity, channel_norm_profile,
                        gradcheck_block, probe_branchwise_gamma,
                        probe_conv_scale_update, probe_multilayer_lemma,
                        probe_shared_gamma, train_toy)
-from .okt import read_okt, write_okt
+from .okt import FormatError, read_okt, write_okt
 from .squeeze import MergeError, cost_report, expanded_forward, squeeze_block
 from .tensor import KernelTensor, ShapeError, Tensor, conv2d_direct
 
@@ -37,10 +39,22 @@ def _report(doc, body):
     return out
 
 
+def _finite_or_null(v):
+    """The report with every NaN or infinite float replaced by None, so
+    that it serializes as strict JSON (null)."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _emit(report, json_path):
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
+            json.dump(_finite_or_null(report), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
 
 
@@ -172,13 +186,20 @@ def cmd_bench(args):
 
 
 def cmd_train_toy(args):
+    if args.steps < 1:
+        print("error: --steps must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        cfg = OptimizerConfig(eta=args.eta, weight_decay=args.weight_decay,
+                              momentum=args.momentum)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     doc, block = load_spec(args.spec)
     rng = np.random.default_rng(doc["seed"] + 1)
     keh, kew = block.effective_k
     target_arr = rng.standard_normal((block.out_ch, block.in_ch, keh, kew)) * 0.2
     target = KernelTensor(target_arr, dtype=doc.get("dtype", "f64"))
-    cfg = OptimizerConfig(eta=args.eta, weight_decay=args.weight_decay,
-                          momentum=args.momentum)
     res = train_toy(block, target, args.steps, cfg, mode=args.mode,
                     seed=doc["seed"], batch=args.batch, hw=tuple(args.hw))
     if res["diverged_at"] is not None:
@@ -300,6 +321,12 @@ def main(argv=None):
         return args.func(args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FormatError as exc:
+        print(f"kernel file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MergeError, ShapeError) as exc:
         print(f"merge/shape error: {exc}", file=sys.stderr)

@@ -133,18 +133,28 @@ def _conv_grad_x(gout, kernel):
 
 
 def _merge_backward(w1, w2, gout):
-    """Adjoint of merge_sequential: gradient w.r.t. both dense kernels, each
-    a weight adjoint of correlating gout: dw1 against w2, and dw2 against w1
-    with both channel axes swapped (views, so no dense operand is copied)."""
-    dw1 = _correlate_grad_w(gout, w2.data, w1.kh, w1.kw)
-    dw2 = _correlate_grad_w(gout.transpose(1, 0, 2, 3), w1.data.transpose(1, 0, 2, 3),
-                            w2.kh, w2.kw)
+    """Adjoint of merge_sequential for a grouped w1 and a dense w2, each
+    gradient a weight adjoint of correlating gout, the dense merged
+    kernel's gradient. dw1, in w1's native shape, is taken against w2 with
+    w1's groups. dw2 is taken against w1 with the channel roles swapped per
+    group: gout regrouped to (C0 / G, G * C2, ...) against w1 transposed to
+    (C0 / G, C1, ...). With G = 1 the regrouping is a view."""
+    g, cig = w1.groups, w1.in_channels_per_group
+    c2, _, keh, kew = gout.shape
+    dw1 = _correlate_grad_w(gout, w2.data, w1.kh, w1.kw, g)
+    gout_t = gout.reshape(c2, g, cig, keh, kew).transpose(2, 1, 0, 3, 4).reshape(
+        cig, g * c2, keh, kew)
+    dw2 = _correlate_grad_w(gout_t, w1.data.transpose(1, 0, 2, 3), w2.kh, w2.kw, g)
     return dw1, dw2.transpose(1, 0, 2, 3)
 
 
-def _dense_grad_to_native(dense_grad, kernel):
+def _dense_grad_to_native(grad, kernel):
+    """A grouped kernel's gradient from that of its dense expansion; a
+    gradient already in the kernel's native shape passes through."""
+    if grad.shape == kernel.shape:
+        return grad
     g = kernel.groups
-    blocks = dense_grad.reshape(g, kernel.out_channels // g, g, -1, kernel.kh, kernel.kw)
+    blocks = grad.reshape(g, kernel.out_channels // g, g, -1, kernel.kh, kernel.kw)
     return blocks[np.arange(g), :, np.arange(g)].reshape(kernel.shape)
 
 
@@ -163,18 +173,20 @@ def backward_through_squeeze(block, x, upstream):
     ps = ParamSet(block)
     geom = block.eval_geometry()
 
-    branch_dense = []
+    branch_factors = []
     branch_prefix = []
     branch_kernels = []
     for branch in block.branches:
-        dense = [as_dense(w) for w in branch.weights]
-        prefix = [dense[0]]
-        for d in dense[1:]:
+        # mirrors squeeze_branch: the first layer is folded in its native layout
+        factors = [branch.weights[0]] + [as_dense(w) for w in branch.weights[1:]]
+        prefix = [factors[0]]
+        for d in factors[1:]:
             prefix.append(merge_sequential(prefix[-1], d))
+        prefix[-1] = as_dense(prefix[-1])
         k = prefix[-1]
         if branch.scaling is not None:
             k = apply_branch_scaling(k, branch.scaling)
-        branch_dense.append(dense)
+        branch_factors.append(factors)
         branch_prefix.append(prefix)
         branch_kernels.append(k)
     w_e = branch_kernels[0] if len(branch_kernels) == 1 else merge_parallel(branch_kernels)
@@ -190,9 +202,9 @@ def backward_through_squeeze(block, x, upstream):
             g_k = g_b * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
         else:
             g_k = g_b
-        dense = branch_dense[bi]
-        for li in range(len(dense) - 1, 0, -1):
-            g_prev, g_wi = _merge_backward(branch_prefix[bi][li - 1], dense[li], g_k)
+        factors = branch_factors[bi]
+        for li in range(len(factors) - 1, 0, -1):
+            g_prev, g_wi = _merge_backward(branch_prefix[bi][li - 1], factors[li], g_k)
             native = _dense_grad_to_native(g_wi, branch.weights[li])
             grad_map[(bi, li)] = _native_grad_to_param(native, branch.layers[li])
             g_k = g_prev

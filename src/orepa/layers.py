@@ -190,11 +190,10 @@ def materialize(spec, rng, dtype="f64"):
 
 def as_dense(w):
     """Expand a grouped kernel to groups=1 by block-diagonal zero fill."""
-    if w.groups == 1:
+    g = w.groups
+    if g == 1:
         return w
-    co, cig = w.out_channels, w.in_channels_per_group
-    cog = co // w.groups
-    dense = np.zeros((co, w.in_channels, w.kh, w.kw), dtype=w.data.dtype)
-    for g in range(w.groups):
-        dense[g * cog:(g + 1) * cog, g * cig:(g + 1) * cig] = w.data[g * cog:(g + 1) * cog]
+    dense = np.zeros((w.out_channels, w.in_channels, w.kh, w.kw), dtype=w.data.dtype)
+    blocks = dense.reshape(g, w.out_channels // g, g, w.in_channels_per_group, w.kh, w.kw)
+    blocks[np.arange(g), :, np.arange(g)] = w.data.reshape(g, -1, *w.shape[1:])
     return KernelTensor(dense, groups=1)

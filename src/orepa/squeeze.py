@@ -2,8 +2,12 @@
 
 Sequential layers merge by inter-weight convolution: the composed kernel
 has extent K1 + K2 - 1 and tap (m, n) sums w2[.., a, b] * w1[.., m-a, n-b]
-over the second kernel's taps. Parallel branches merge by center-aligned
-zero embedding and tap-wise summation, which requires odd extents.
+over the second kernel's taps. The first kernel of a branch is merged in
+its native grouped layout; every later one is expanded to dense first.
+Parallel branches merge by center-aligned zero embedding and tap-wise
+summation, which requires odd extents. The squeeze trace and cost_report
+model the dense algebra (every grouped layer expanded, then merged),
+whatever layout the merges actually run in.
 
 Evaluation convention (load-bearing for exact equality): the input is
 zero-padded once by (K_e - 1) / 2 per side, where K_e is the block's
@@ -154,22 +158,30 @@ class SqueezeResult:
 
 
 def merge_sequential(w1, w2):
-    """Compose two stacked dense kernels into one (w1 applied first)."""
-    if w1.groups != 1 or w2.groups != 1:
-        raise MergeError("sequential merge needs dense kernels; expand groups first")
+    """Compose two stacked kernels into one dense kernel (w1 applied first).
+
+    w1 may be grouped and stays in its native (C1, C0 / G, k, k) layout:
+    each w2 tap is one batched GEMM over w1's G groups, scattered into the
+    input channels of its group, so no block-diagonal copy of w1 is made
+    (with G = 1 it is one plain GEMM per tap). w2 must be dense.
+    """
+    if w2.groups != 1:
+        raise MergeError("sequential merge needs a dense second kernel; expand its groups first")
     if w2.in_channels != w1.out_channels:
         raise MergeError(f"channel chain mismatch: w1 out {w1.out_channels}, "
                          f"w2 in {w2.in_channels}")
-    c1, c0, k1h, k1w = w1.shape
-    c2 = w2.out_channels
+    c1, cig, k1h, k1w = w1.shape
+    g, c2 = w1.groups, w2.out_channels
     keh, kew = k1h + w2.kh - 1, k1w + w2.kw - 1
-    out = np.zeros((c2, c0, keh, kew), dtype=w1.data.dtype)
+    out = np.zeros((c2, w1.in_channels, keh, kew), dtype=w1.data.dtype)
     # scatter form: no padded or transposed copy of w1 (see orepa.tensor)
-    w1_rows = w1.data.reshape(c1, -1)
+    out_g = out.reshape(c2, g, cig, keh, kew).transpose(1, 0, 2, 3, 4)
+    w1_rows = w1.data.reshape(g, c1 // g, -1)
     for a in range(w2.kh):
         for b in range(w2.kw):
-            out[:, :, a:a + k1h, b:b + k1w] += (w2.data[:, :, a, b] @ w1_rows).reshape(
-                c2, c0, k1h, k1w)
+            w2_tap = w2.data[:, :, a, b].reshape(c2, g, c1 // g).transpose(1, 0, 2)
+            out_g[..., a:a + k1h, b:b + k1w] += (w2_tap @ w1_rows).reshape(
+                g, c2, cig, k1h, k1w)
     return KernelTensor(out, groups=1)
 
 
@@ -202,25 +214,37 @@ def apply_branch_scaling(w, gamma):
 
 
 def _seq_merge_mults(w1, w2):
-    # one multiply per (w2 tap) x (w1 element) pair in the scatter form
+    # one multiply per (w2 tap) x (w1 element) pair of the dense algebra,
+    # whatever w1's groups
     return (w2.out_channels * w2.kh * w2.kw *
             w1.out_channels * w1.in_channels * w1.kh * w1.kw)
 
 
+def _dense_shape(w):
+    return (w.out_channels, w.in_channels, w.kh, w.kw)
+
+
 def squeeze_branch(branch, trace=None):
-    """Left-fold a branch's layers into one dense kernel, then scale."""
-    k = as_dense(branch.weights[0])
-    if k is not branch.weights[0] and trace is not None:
-        trace.append(TraceStep("as_dense", (branch.weights[0].shape,), k.shape, 0))
+    """Left-fold a branch's layers into one dense kernel, then scale.
+
+    The first layer enters the fold in its native grouped layout (see
+    merge_sequential); only a branch made of one grouped layer is expanded
+    by the final as_dense. The trace records the dense algebra all the
+    same: every grouped layer is expanded, then merged.
+    """
+    k = branch.weights[0]
+    if k.groups != 1 and trace is not None:
+        trace.append(TraceStep("as_dense", (k.shape,), _dense_shape(k), 0))
     for w in branch.weights[1:]:
         dense = as_dense(w)
         if dense is not w and trace is not None:
             trace.append(TraceStep("as_dense", (w.shape,), dense.shape, 0))
         merged = merge_sequential(k, dense)
         if trace is not None:
-            trace.append(TraceStep("merge_sequential", (k.shape, dense.shape),
+            trace.append(TraceStep("merge_sequential", (_dense_shape(k), dense.shape),
                                    merged.shape, _seq_merge_mults(k, dense)))
         k = merged
+    k = as_dense(k)
     if branch.scaling is not None:
         scaled = apply_branch_scaling(k, branch.scaling)
         if trace is not None:

@@ -12,10 +12,11 @@ dynamics, _conv_grad_w pads x alike and takes the weight adjoint against
 the output gradient; _conv_grad_x pads the output gradient by K - 1 and
 correlates it with the kernel flipped in space, in/out channels swapped
 per group; _merge_backward takes two weight adjoints of the merged
-kernel's gradient, against w2 and, with every channel axis pair swapped,
-against w1. squeeze.merge_sequential, the transpose of that, keeps its
-own tap loop: through _correlate it would need a padded, transposed copy
-of the large dense w1.
+kernel's gradient: against w2 with w1's groups, which gives dw1 in w1's
+native grouped shape, and against w1 with the channel roles swapped per
+group. squeeze.merge_sequential, the transpose of that, keeps its own tap
+loop, one batched GEMM per w2 tap over w1's groups: through _correlate it
+would need a padded, transposed copy of w1 in dense form.
 """
 
 from __future__ import annotations

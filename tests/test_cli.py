@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,80 @@ def test_verify_nan_kernel_fails(tmp_path, capsys):
     rc = run(["verify", DATA / "orepa3x3.json", "--kernel", out, "--trials", 2])
     assert rc == 1
     assert "max residual nan" in capsys.readouterr().out
+
+
+def test_verify_nan_kernel_json_report_is_strict_json(tmp_path):
+    out = tmp_path / "k.okt"
+    run(["squeeze", DATA / "orepa3x3.json", "--out", out])
+    write_okt(out, KernelTensor(np.full(read_okt(out).shape, np.nan)))
+    rep = tmp_path / "r.json"
+    rc = run(["verify", DATA / "orepa3x3.json", "--kernel", out, "--trials", 2, "--json", rep])
+    assert rc == 1
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(rep.read_text(), parse_constant=refuse)
+    assert report["max_residual"] is None
+    assert report["pass"] is False
+
+
+def _okt_bytes(header, payload=b""):
+    blob = json.dumps(header).encode()
+    return b"OREPAKT1" + struct.pack("<I", len(blob)) + blob + payload
+
+
+MALFORMED_OKT = {
+    "garbage": b"garbage",
+    "truncated": b"OREPAKT1\x01",
+    "unknown_dtype": _okt_bytes({"dtype": "f16", "shape": [1, 1, 1, 1], "layout": "OIHW",
+                                 "groups": 1}, b"\x00\x00"),
+    "header_not_object": _okt_bytes([1, 2]),
+    "zero_extent": _okt_bytes({"dtype": "f64", "shape": [0, 1, 1, 1], "layout": "OIHW",
+                               "groups": 1}),
+}
+
+
+def _malformed_argv(tmp_path, case):
+    spec = DATA / "orepa3x3.json"
+    csvs = ["--similarity-csv", tmp_path / "s.csv", "--norms-csv", tmp_path / "n.csv"]
+    if case in MALFORMED_OKT:
+        (tmp_path / "k.okt").write_bytes(MALFORMED_OKT[case])
+        return ["verify", spec, "--kernel", tmp_path / "k.okt", "--trials", 1]
+    if case == "missing_checkpoint":
+        return ["analyze", tmp_path / "nope.ckpt", *csvs]
+    if case == "garbage_checkpoint":
+        (tmp_path / "bad.ckpt").write_text("{not json")
+        return ["analyze", tmp_path / "bad.ckpt", *csvs]
+    if case == "checkpoint_without_weights":
+        doc = json.loads(spec.read_text())
+        (tmp_path / "bad.ckpt").write_text(json.dumps({"format": "orepa-ckpt-1",
+                                                       "blockspec": doc}))
+        return ["analyze", tmp_path / "bad.ckpt", *csvs]
+    if case == "checkpoint_wrong_shape":
+        doc, block = load_spec(spec)
+        save_checkpoint(tmp_path / "bad.ckpt", doc, block)
+        payload = json.loads((tmp_path / "bad.ckpt").read_text())
+        payload["branches"][0]["layers"][0]["shape"][0] += 1
+        (tmp_path / "bad.ckpt").write_text(json.dumps(payload))
+        return ["analyze", tmp_path / "bad.ckpt", *csvs]
+    if case == "zero_steps":
+        return ["train-toy", spec, "--steps", 0]
+    if case == "zero_eta":
+        return ["train-toy", spec, "--steps", 1, "--eta", 0]
+    assert case == "unwritable_report"
+    return ["squeeze", spec, "--out", tmp_path / "k.okt", "--json", tmp_path / "no" / "r.json"]
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
+                                  "checkpoint_without_weights", "checkpoint_wrong_shape",
+                                  "zero_steps", "zero_eta", "unwritable_report"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
+    rc = run(_malformed_argv(tmp_path, case))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_composed_after_squeeze_always_passes(tmp_path):

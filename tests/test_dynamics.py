@@ -4,7 +4,7 @@ import pytest
 from orepa import layers as L
 from orepa.blocks import build_preset
 from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _conv_grad_w,
-                            _conv_grad_x, _merge_backward,
+                            _conv_grad_x, _dense_grad_to_native, _merge_backward,
                             backward_through_expanded, backward_through_squeeze,
                             branch_similarity, channel_norm_profile,
                             finite_difference_grads, gradcheck_block,
@@ -161,6 +161,21 @@ def test_merge_adjoint_dot_product_identity(k1, k2):
     assert (dw1.shape, dw2.shape) == (w1.shape, w2.shape)
     assert np.vdot(dw1, w1.data) == pytest.approx(lhs, rel=1e-12, abs=0)
     assert np.vdot(dw2, w2.data) == pytest.approx(lhs, rel=1e-12, abs=0)
+    # a grouped w1 gets its gradient in its native shape, equal to the
+    # dense expansion's gradient restricted to the diagonal blocks
+    for groups, cig, cog in [(2, 2, 3), (6, 1, 1), (3, 1, 2)]:
+        w1 = KernelTensor(rng.standard_normal((groups * cog, cig, k1, k1 + 1)), groups=groups)
+        w2 = KernelTensor(rng.standard_normal((4, groups * cog, k2, k2)))
+        merged = merge_sequential(w1, w2).data
+        gout = rng.standard_normal(merged.shape)
+        lhs = np.vdot(gout, merged)
+        dw1, dw2 = _merge_backward(w1, w2, gout)
+        assert (dw1.shape, dw2.shape) == (w1.shape, w2.shape)
+        assert np.vdot(dw1, w1.data) == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert np.vdot(dw2, w2.data) == pytest.approx(lhs, rel=1e-12, abs=0)
+        dense_dw1, dense_dw2 = _merge_backward(L.as_dense(w1), w2, gout)
+        np.testing.assert_allclose(dw1, _dense_grad_to_native(dense_dw1, w1), rtol=1e-12)
+        np.testing.assert_allclose(dw2, dense_dw2, rtol=1e-12)
 
 
 # --------------------------------------------------------------------------

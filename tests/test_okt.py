@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orepa.okt import MAGIC, FormatError, read_okt, write_okt
 from orepa.tensor import KernelTensor, Tensor
@@ -59,3 +61,20 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_okt(path)
+
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+       cut=st.one_of(st.none(), st.integers(0, 200)))
+def test_fuzzed_okt_reads_or_raises_format_error(tmp_path_factory, edits, cut):
+    path = tmp_path_factory.mktemp("fuzz") / "k.okt"
+    write_okt(path, KernelTensor(np.arange(12.0).reshape(6, 1, 2, 1), groups=3))
+    raw = bytearray(path.read_bytes())
+    for pos, byte in edits:
+        raw[pos % len(raw)] = byte
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        read_okt(path)
+    except FormatError:
+        pass

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orepa import layers as L
 from orepa.blocks import build_preset
@@ -111,10 +113,45 @@ def test_merge_channel_mismatch():
 
 
 def test_merge_rejects_grouped():
-    w1 = KernelTensor(np.ones((2, 1, 1, 1)), groups=2)
-    w2 = KernelTensor(np.ones((2, 2, 1, 1)))
+    # a grouped first kernel is merged in its native layout; a grouped second one is not
+    w1 = KernelTensor(np.ones((2, 2, 1, 1)))
+    w2 = KernelTensor(np.ones((2, 1, 1, 1)), groups=2)
     with pytest.raises(MergeError):
         merge_sequential(w1, w2)
+
+
+def _grouped_pair(rng, groups, cig, cog, c2, k1, k2):
+    w1 = KernelTensor(rng.uniform(-1, 1, size=(groups * cog, cig, k1, k1 + 1)), groups=groups)
+    w2 = KernelTensor(rng.uniform(-1, 1, size=(c2, groups * cog, k2, k2)))
+    return w1, w2
+
+
+@pytest.mark.parametrize("cog", [1, 3])
+@pytest.mark.parametrize("cig", [1, 2])
+@pytest.mark.parametrize("groups", [2, 5])
+def test_grouped_merge_equals_dense_merge(groups, cig, cog):
+    # groups=5 with cig=1 is a depthwise layer (groups = channels)
+    rng = np.random.default_rng(100 * groups + 10 * cig + cog)
+    w1, w2 = _grouped_pair(rng, groups, cig, cog, c2=4, k1=3, k2=2)
+    merged = merge_sequential(w1, w2)
+    dense = L.as_dense(w1)
+    assert merged.groups == 1
+    assert merged.shape == (4, groups * cig, 4, 5)
+    np.testing.assert_allclose(merged.data, merge_sequential(dense, w2).data,
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(merged.data, merge_kernels_loop(dense.data, w2.data),
+                               rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups=st.integers(1, 4), cig=st.integers(1, 3), cog=st.integers(1, 3),
+       c2=st.integers(1, 3), k1=st.integers(1, 3), k2=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_grouped_merge_property(groups, cig, cog, c2, k1, k2, seed):
+    w1, w2 = _grouped_pair(np.random.default_rng(seed), groups, cig, cog, c2, k1, k2)
+    np.testing.assert_allclose(merge_sequential(w1, w2).data,
+                               merge_sequential(L.as_dense(w1), w2).data,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_parallel_zero_identity_and_commutativity():
