@@ -140,6 +140,6 @@ def linearize(block):
             scaling = _gamma(b.name, b.out_ch)
         branches.append(Branch(layers=list(b.layers), weights=list(b.weights),
                                scaling=scaling, scaling_trainable=b.scaling_trainable,
-                               name=b.name, had_norm=False))
+                               name=b.name))
     return BlockGraph(branches=branches, post_add_norm=True,
                       output_geometry=block.output_geometry)

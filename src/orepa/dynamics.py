@@ -14,14 +14,13 @@ floating-point noise. That identity is the artifact's headline invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .layers import as_dense
-from .squeeze import (apply_branch_scaling, block_forward_squeezed,
-                      check_center_alignable, merge_parallel, merge_sequential,
-                      squeeze_block, squeeze_branch)
+from .squeeze import (_expanded_input, _fold, apply_branch_scaling,
+                      block_forward_squeezed, merge_parallel, squeeze_block,
+                      squeeze_branch)
 from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _centered,
                      _correlate, _correlate_grad_w, _pad_hw, conv2d_direct)
 
@@ -168,43 +167,25 @@ def _native_grad_to_param(grad, spec):
 
 def backward_through_squeeze(block, x, upstream):
     """Gradients of L = <upstream, conv(x, W_e)> for every trainable scalar,
-    chained through the kernel-space merges. Returns a flat vector in
-    ParamSet order."""
+    chained through the kernel-space merges of the fold squeeze_branch
+    runs. Returns a flat vector in ParamSet order."""
     ps = ParamSet(block)
-    geom = block.eval_geometry()
-
-    branch_factors = []
-    branch_prefix = []
-    branch_kernels = []
-    for branch in block.branches:
-        # mirrors squeeze_branch: the first layer is folded in its native layout
-        factors = [branch.weights[0]] + [as_dense(w) for w in branch.weights[1:]]
-        prefix = [factors[0]]
-        for d in factors[1:]:
-            prefix.append(merge_sequential(prefix[-1], d))
-        prefix[-1] = as_dense(prefix[-1])
-        k = prefix[-1]
-        if branch.scaling is not None:
-            k = apply_branch_scaling(k, branch.scaling)
-        branch_factors.append(factors)
-        branch_prefix.append(prefix)
-        branch_kernels.append(k)
+    folds = [_fold(branch) for branch in block.branches]
+    branch_kernels = [prefix[-1] if branch.scaling is None
+                      else apply_branch_scaling(prefix[-1], branch.scaling)
+                      for branch, (_, prefix) in zip(block.branches, folds)]
     w_e = branch_kernels[0] if len(branch_kernels) == 1 else merge_parallel(branch_kernels)
 
-    g_e = _conv_grad_w(x, upstream, w_e, geom)
+    g_e = _conv_grad_w(x, upstream, w_e, block.eval_geometry())
 
     grad_map = {}
-    for bi, branch in enumerate(block.branches):
-        g_b = g_e[_centered(g_e.shape, branch_kernels[bi].shape)]
-        pre = branch_prefix[bi][-1]
+    for bi, (branch, (factors, prefix)) in enumerate(zip(block.branches, folds)):
+        g_k = g_e[_centered(g_e.shape, branch_kernels[bi].shape)]
         if branch.scaling is not None:
-            grad_map[(bi, -1)] = np.einsum("opij,opij->o", pre.data, g_b, optimize=True)
-            g_k = g_b * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
-        else:
-            g_k = g_b
-        factors = branch_factors[bi]
+            grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k, optimize=True)
+            g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
         for li in range(len(factors) - 1, 0, -1):
-            g_prev, g_wi = _merge_backward(branch_prefix[bi][li - 1], factors[li], g_k)
+            g_prev, g_wi = _merge_backward(prefix[li - 1], factors[li], g_k)
             native = _dense_grad_to_native(g_wi, branch.weights[li])
             grad_map[(bi, li)] = _native_grad_to_param(native, branch.layers[li])
             g_k = g_prev
@@ -214,20 +195,14 @@ def backward_through_squeeze(block, x, upstream):
 
 
 def backward_through_expanded(block, x, upstream):
-    """Same gradients, chained through the expanded per-layer evaluation."""
-    check_center_alignable(block)
+    """Same gradients, chained through the expanded per-layer evaluation
+    under expanded_forward's outer padding."""
+    xp, out_hw = _expanded_input(block, x)
+    xp = _batched_arr(xp)
     ps = ParamSet(block)
-    geom = block.eval_geometry()
-    s_h, s_w = geom.stride
-    arr = _batched_arr(x)
-    xp = _pad_hw(arr, geom.padding)
-    keh, kew = block.effective_k
-    h_f = xp.shape[2] - keh + 1
-    w_f = xp.shape[3] - kew + 1
-
-    up = _batched_arr(upstream)
-    g_sum = np.zeros((arr.shape[0], block.out_ch, h_f, w_f))
-    g_sum[:, :, ::s_h, ::s_w] = up
+    s_h, s_w = block.output_geometry.stride
+    g_sum = np.zeros((xp.shape[0], block.out_ch) + out_hw)
+    g_sum[:, :, ::s_h, ::s_w] = _batched_arr(upstream)
 
     grad_map = {}
     valid = ConvGeometry()
@@ -235,13 +210,11 @@ def backward_through_expanded(block, x, upstream):
         acts = [xp]
         for w in branch.weights:
             acts.append(conv2d_direct(Tensor(acts[-1]), w, valid).data)
-        g_s = np.zeros((arr.shape[0], block.out_ch, acts[-1].shape[2], acts[-1].shape[3]))
-        g_s[_centered(g_s.shape, g_sum.shape)] = g_sum
+        g_a = np.zeros(acts[-1].shape)
+        g_a[_centered(g_a.shape, g_sum.shape)] = g_sum
         if branch.scaling is not None:
-            grad_map[(bi, -1)] = np.einsum("bchw,bchw->c", acts[-1], g_s, optimize=True)
-            g_a = g_s * np.asarray(branch.scaling, dtype=np.float64)[None, :, None, None]
-        else:
-            g_a = g_s
+            grad_map[(bi, -1)] = np.einsum("bchw,bchw->c", acts[-1], g_a, optimize=True)
+            g_a = g_a * np.asarray(branch.scaling, dtype=np.float64)[None, :, None, None]
         for li in range(len(branch.weights) - 1, -1, -1):
             w = branch.weights[li]
             native = _conv_grad_w(acts[li], g_a, w, valid)
@@ -275,12 +248,24 @@ def finite_difference_grads(block, x, upstream, eps=1e-6):
     return out
 
 
-def gradcheck_block(block, x, upstream, eps=1e-6, fd_tol=1e-6, route_tol=1e-9):
+# gradcheck's default (fd_tol, route_tol) per block dtype; f32 routes agree to
+# a few eps(f32) of the gradient (route diff 3.9e-5 on deepstem gradients near 540)
+GRADCHECK_TOL = {"f64": (1e-6, 1e-9), "f32": (1e-4, 1e-3)}
+
+
+def gradcheck_block(block, x, upstream, eps=1e-6, fd_tol=None, route_tol=None):
     """Compare the two analytic routes with each other and with central
-    finite differences. Relative error is scaled by max(1, |a|, |b|)."""
+    finite differences, which run on an f64 copy of the block and inputs so
+    that eps stays above the storage resolution. Relative error is scaled
+    by max(1, |a|, |b|). Unset tolerances come from GRADCHECK_TOL."""
+    default_fd, default_route = GRADCHECK_TOL[block.dtype]
+    fd_tol = default_fd if fd_tol is None else fd_tol
+    route_tol = default_route if route_tol is None else route_tol
     g_sq = backward_through_squeeze(block, x, upstream)
     g_ex = backward_through_expanded(block, x, upstream)
-    g_fd = finite_difference_grads(block, x, upstream, eps=eps)
+    block64 = replace(block, branches=[replace(b, weights=[w.astype("f64") for w in b.weights])
+                                       for b in block.branches])
+    g_fd = finite_difference_grads(block64, x.astype("f64"), upstream.astype("f64"), eps=eps)
     route_diff = float(np.max(np.abs(g_sq - g_ex))) if g_sq.size else 0.0
     denom = np.maximum(1.0, np.maximum(np.abs(g_sq), np.abs(g_fd)))
     fd_err = float(np.max(np.abs(g_sq - g_fd) / denom)) if g_sq.size else 0.0
@@ -304,9 +289,9 @@ class OptimizerConfig:
     momentum_mode: str = "scaled"   # "scaled": factor eta*mu; "standard": factor mu
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be > 0")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
@@ -365,14 +350,7 @@ class DynamicsReport:
             if isinstance(v, (list, tuple)):
                 return [clean(x) for x in v]
             return v
-        return clean({
-            "probe": self.probe,
-            "eta": self.eta,
-            "residual_norm": self.residual_norm,
-            "residual_ratio": self.residual_ratio,
-            "first_order_diff": self.first_order_diff,
-            "details": self.details,
-        })
+        return clean(asdict(self))
 
 
 def _first_order(delta_fn, eta):
@@ -380,6 +358,47 @@ def _first_order(delta_fn, eta):
     term, leaving the linear part of a one-step update exactly when the
     update is polynomial in the step size."""
     return 4.0 * delta_fn(eta / 2) - delta_fn(eta)
+
+
+def _chain_product(chain):
+    acc = chain[0]
+    for w in chain[1:]:
+        acc = w @ acc
+    return acc
+
+
+def _chain_step(chain, x, g, eta, rates=None):
+    """One SGD step on L = g * (W_e x) for the chain product W_e, a row
+    with chain[0] applied first; returns the change of W_e. Factor i steps
+    with eta * rates[i], so a rate of 0 freezes it."""
+    n = len(chain)
+    stepped = []
+    for i, w in enumerate(chain):
+        suffix = np.eye(w.shape[0]) if i == n - 1 else _chain_product(chain[i + 1:])
+        prefix_x = x if i == 0 else _chain_product(chain[:i]) @ x
+        rate = 1.0 if rates is None else rates[i]
+        stepped.append(w - eta * rate * g * np.outer(suffix[0], prefix_x))
+    return _chain_product(stepped)[0] - _chain_product(chain)[0]
+
+
+def _pair(gamma, w):
+    """The conv-scale pair y = gamma * (w . x) as a chain."""
+    return [w[None, :], np.atleast_2d(gamma)]
+
+
+def _pair_law(gamma, w, x, g, eta, gamma_rate=1.0):
+    """First-order change of gamma * w under one SGD step of its pair;
+    gamma_rate 0 freezes gamma."""
+    return -eta * (gamma ** 2 * g * x + gamma_rate * float(w @ x) * g * w)
+
+
+def _residual(delta_fn, law, eta):
+    """The report's residual_norm, max |delta(eta) - law| for a law linear
+    in eta, and residual_ratio, its ratio to the same at eta / 2 (about 4
+    when the remainder is quadratic)."""
+    norm = float(np.max(np.abs(delta_fn(eta) - law)))
+    half = float(np.max(np.abs(delta_fn(eta / 2) - law / 2)))
+    return {"residual_norm": norm, "residual_ratio": norm / half if half > 0 else None}
 
 
 def probe_conv_scale_update(weight, gamma, x, g, eta):
@@ -393,21 +412,15 @@ def probe_conv_scale_update(weight, gamma, x, g, eta):
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     gamma = float(gamma)
     g = float(g)
+    pair = _pair(gamma, w)
 
     def delta(e):
-        g1 = gamma - e * g * float(w @ xv)
-        w1 = w - e * gamma * g * xv
-        return g1 * w1 - gamma * w
+        return _chain_step(pair, xv, g, e)
 
-    predicted = -eta * (gamma ** 2 * g * xv + float(w @ xv) * g * w)
+    predicted = _pair_law(gamma, w, xv, g, eta)
     observed = delta(eta)
-    residual = observed - predicted
-    res_half = delta(eta / 2) - predicted / 2
-    norm = float(np.max(np.abs(residual)))
-    norm_half = float(np.max(np.abs(res_half)))
     return DynamicsReport(
-        probe="convscale", eta=eta, residual_norm=norm,
-        residual_ratio=(norm / norm_half) if norm_half > 0 else None,
+        probe="convscale", eta=eta, **_residual(delta, predicted, eta),
         details={
             "observed": observed, "predicted": predicted,
             "end_to_end_before": gamma * w,
@@ -426,8 +439,9 @@ def probe_shared_gamma(weight, gamma, x, g, n_branches, eta, rng=None,
     structural comparison is isolated from that trivial rescaling; the
     raw unnormalized first-order gap is also reported.
 
-    parts overrides the random split; pin_gamma freezes the scaling in
-    both systems.
+    The split is the chain [parts stacked, a frozen row of ones, gamma];
+    the reference is the fused pair (gamma, sum of parts). parts overrides
+    the random split; pin_gamma freezes the scaling in both systems.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -444,39 +458,28 @@ def probe_shared_gamma(weight, gamma, x, g, n_branches, eta, rng=None,
         if len(parts) != m:
             raise ShapeError("parts", m, len(parts))
     s = np.sum(parts, axis=0)
+    gamma_rate = 0.0 if pin_gamma else 1.0
+    split = [np.stack(parts), np.ones((1, m)), np.atleast_2d(gamma)]
+    fused = _pair(gamma, s)
 
     def delta_branch(e, lr_scale):
-        g1 = gamma if pin_gamma else gamma - e * g * float(s @ xv)
-        s1 = np.sum([p - (e * lr_scale) * gamma * g * xv for p in parts], axis=0)
-        return g1 * s1 - gamma * s
+        return _chain_step(split, xv, g, e, (lr_scale, 0.0, gamma_rate))
 
     def delta_ref(e):
-        g1 = gamma if pin_gamma else gamma - e * g * float(s @ xv)
-        w1 = s - e * gamma * g * xv
-        return g1 * w1 - gamma * s
+        return _chain_step(fused, xv, g, e, (1.0, gamma_rate))
 
     lr_scale = 1.0 / m if split_normalized else 1.0
-    fo_branch = _first_order(lambda e: delta_branch(e, lr_scale), eta)
     fo_ref = _first_order(delta_ref, eta)
-    fo_diff = float(np.max(np.abs(fo_branch - fo_ref)))
-
+    fo_branch = _first_order(lambda e: delta_branch(e, lr_scale), eta)
     fo_branch_raw = _first_order(lambda e: delta_branch(e, 1.0), eta)
-    raw_diff = float(np.max(np.abs(fo_branch_raw - fo_ref)))
-
-    gamma_term = 0.0 * s if pin_gamma else float(s @ xv) * g * s
-    law = -eta * (gamma ** 2 * g * xv + gamma_term)
-    residual = delta_branch(eta, lr_scale) - law
-    res_half = delta_branch(eta / 2, lr_scale) - law / 2
-    norm = float(np.max(np.abs(residual)))
-    norm_half = float(np.max(np.abs(res_half)))
+    law = _pair_law(gamma, s, xv, g, eta, gamma_rate)
     return DynamicsReport(
-        probe="shared", eta=eta, residual_norm=norm,
-        residual_ratio=(norm / norm_half) if norm_half > 0 else None,
-        first_order_diff=fo_diff,
+        probe="shared", eta=eta, **_residual(lambda e: delta_branch(e, lr_scale), law, eta),
+        first_order_diff=float(np.max(np.abs(fo_branch - fo_ref))),
         details={
             "n_branches": m,
             "split_normalized": split_normalized,
-            "unnormalized_first_order_diff": raw_diff,
+            "unnormalized_first_order_diff": float(np.max(np.abs(fo_branch_raw - fo_ref))),
             "observed": delta_branch(eta, lr_scale),
             "reference": delta_ref(eta),
         })
@@ -486,8 +489,9 @@ def probe_branchwise_gamma(branches, x, g, eta):
     """M branches with per-branch scalings against the conv-scale pair that
     matches the end-to-end weight and the total scaling energy.
 
-    The reference pair is (gamma_r, W_r) with gamma_r = sqrt(sum gamma_j^2)
-    and W_r = sum(gamma_j W_j) / gamma_r, the unique pair that reproduces
+    The branch system is the sum of its pairs. The reference pair is
+    (gamma_r, W_r) with gamma_r = sqrt(sum gamma_j^2) and
+    W_r = sum(gamma_j W_j) / gamma_r, the unique pair that reproduces
     the branch system's first-order update whenever the active branches
     collapse (at most one active, or identical states). When at least two
     active branches differ, no pair reproduces it and the first-order gap
@@ -497,16 +501,10 @@ def probe_branchwise_gamma(branches, x, g, eta):
     g = float(g)
     gammas = [float(gm) for gm, _ in branches]
     ws = [np.atleast_1d(np.asarray(w, dtype=np.float64)) for _, w in branches]
+    pairs = [_pair(gm, w) for gm, w in zip(gammas, ws)]
 
     def delta_branch(e):
-        total = np.zeros_like(xv)
-        before = np.zeros_like(xv)
-        for gm, w in zip(gammas, ws):
-            g1 = gm - e * g * float(w @ xv)
-            w1 = w - e * gm * g * xv
-            total = total + g1 * w1
-            before = before + gm * w
-        return total - before
+        return np.sum([_chain_step(p, xv, g, e) for p in pairs], axis=0)
 
     e2e = np.sum([gm * w for gm, w in zip(gammas, ws)], axis=0)
     energy = float(np.sum(np.square(gammas)))
@@ -516,36 +514,27 @@ def probe_branchwise_gamma(branches, x, g, eta):
     else:
         gamma_r = 1.0
         w_r = np.sum(ws, axis=0)
+    reference = _pair(gamma_r, w_r)
 
     def delta_ref(e):
-        g1 = gamma_r - e * g * float(w_r @ xv)
-        w1 = w_r - e * gamma_r * g * xv
-        return g1 * w1 - gamma_r * w_r
+        return _chain_step(reference, xv, g, e)
 
     fo_branch = _first_order(delta_branch, eta)
     fo_ref = _first_order(delta_ref, eta)
-    fo_diff = float(np.max(np.abs(fo_branch - fo_ref)))
 
     active = [bool(np.any(w != 0) or gm != 0) for gm, w in zip(gammas, ws)]
     act_idx = [i for i, a in enumerate(active) if a]
-    per_branch_fo = [-eta * (gammas[i] ** 2 * g * xv + float(ws[i] @ xv) * g * ws[i])
-                     for i in range(len(ws))]
+    per_branch_fo = [_pair_law(gm, w, xv, g, eta) for gm, w in zip(gammas, ws)]
     pair_gaps = [float(np.max(np.abs(per_branch_fo[i] - per_branch_fo[j])))
                  for ai, i in enumerate(act_idx) for j in act_idx[ai + 1:]]
     distinct = all(np.any(ws[i] != ws[j])
                    for ai, i in enumerate(act_idx) for j in act_idx[ai + 1:])
     conditions_hold = len(act_idx) >= 2 and distinct
 
-    law = -eta * np.sum([gammas[i] ** 2 * g * xv + float(ws[i] @ xv) * g * ws[i]
-                         for i in range(len(ws))], axis=0)
-    residual = delta_branch(eta) - law
-    res_half = delta_branch(eta / 2) - law / 2
-    norm = float(np.max(np.abs(residual)))
-    norm_half = float(np.max(np.abs(res_half)))
+    law = np.sum(per_branch_fo, axis=0)
     return DynamicsReport(
-        probe="branchwise", eta=eta, residual_norm=norm,
-        residual_ratio=(norm / norm_half) if norm_half > 0 else None,
-        first_order_diff=fo_diff,
+        probe="branchwise", eta=eta, **_residual(delta_branch, law, eta),
+        first_order_diff=float(np.max(np.abs(fo_branch - fo_ref))),
         details={
             "n_branches": len(ws),
             "active": active,
@@ -585,13 +574,6 @@ def balanced_chain(n_layers, input_dim, hidden_dim, scale, rng):
     return chain
 
 
-def _chain_product(chain):
-    acc = chain[0]
-    for w in chain[1:]:
-        acc = w @ acc
-    return acc
-
-
 def probe_multilayer_lemma(n_layers, eta, input_dim=5, hidden_dim=3, scale=1.0,
                            rng=None, chain=None, x=None, g=1.0):
     """One SGD step on a single-branch stack of 1x1 layers in vector form,
@@ -618,33 +600,20 @@ def probe_multilayer_lemma(n_layers, eta, input_dim=5, hidden_dim=3, scale=1.0,
                     rtol=0, atol=1e-10)
         for i in range(n - 1))
 
-    w_e = _chain_product(chain)[0]
-
     def delta(e):
-        stepped = []
-        for i, w in enumerate(chain):
-            suffix = np.eye(w.shape[0]) if i == n - 1 else _chain_product(chain[i + 1:])
-            prefix_x = xv if i == 0 else _chain_product(chain[:i]) @ xv
-            grad = g * np.outer(suffix[0], prefix_x)
-            stepped.append(w - e * grad)
-        return _chain_product(stepped)[0] - w_e
+        return _chain_step(chain, xv, g, e)
 
+    w_e = _chain_product(chain)[0]
     g_vec = g * xv
     norm_we = float(np.linalg.norm(w_e))
     predicted = -eta * (norm_we ** (2.0 - 2.0 / n)) * (
         g_vec + (n - 1) * project_onto(w_e, g_vec))
-    observed = delta(eta)
-    residual = observed - predicted
-    res_half = delta(eta / 2) - predicted / 2
-    norm = float(np.max(np.abs(residual)))
-    norm_half = float(np.max(np.abs(res_half)))
     return DynamicsReport(
-        probe="lemma", eta=eta, residual_norm=norm,
-        residual_ratio=(norm / norm_half) if norm_half > 0 else None,
+        probe="lemma", eta=eta, **_residual(delta, predicted, eta),
         details={
             "n_layers": n,
             "balanced": bool(balanced),
-            "observed": observed,
+            "observed": delta(eta),
             "predicted": predicted,
             "end_to_end_before": w_e,
         })

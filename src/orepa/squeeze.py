@@ -41,7 +41,6 @@ class Branch:
     scaling: np.ndarray = None
     scaling_trainable: bool = True
     name: str = ""
-    had_norm: bool = False
 
     def __post_init__(self):
         if len(self.layers) != len(self.weights) or not self.layers:
@@ -119,11 +118,11 @@ class BlockGraph:
 
 
 def build_branch(layer_specs, rng, dtype="f64", scaling=None, name="",
-                 scaling_trainable=True, had_norm=False):
+                 scaling_trainable=True):
     """Materialize a branch's kernels in layer order from one generator."""
     weights = [materialize(spec, rng, dtype=dtype) for spec in layer_specs]
     return Branch(layers=list(layer_specs), weights=weights, scaling=scaling,
-                  scaling_trainable=scaling_trainable, name=name, had_norm=had_norm)
+                  scaling_trainable=scaling_trainable, name=name)
 
 
 @dataclass(frozen=True)
@@ -224,27 +223,33 @@ def _dense_shape(w):
     return (w.out_channels, w.in_channels, w.kh, w.kw)
 
 
-def squeeze_branch(branch, trace=None):
-    """Left-fold a branch's layers into one dense kernel, then scale.
-
-    The first layer enters the fold in its native grouped layout (see
-    merge_sequential); only a branch made of one grouped layer is expanded
-    by the final as_dense. The trace records the dense algebra all the
-    same: every grouped layer is expanded, then merged.
-    """
+def _fold(branch, trace=None):
+    """Left-fold a branch's layers, scaling aside. Returns the factors (the
+    first layer in its native grouped layout, see merge_sequential, every
+    later one dense) and their prefix products, the last expanded to dense.
+    The trace records the dense algebra all the same: every grouped layer
+    is expanded, then merged."""
     k = branch.weights[0]
     if k.groups != 1 and trace is not None:
         trace.append(TraceStep("as_dense", (k.shape,), _dense_shape(k), 0))
+    factors, prefix = [k], [k]
     for w in branch.weights[1:]:
         dense = as_dense(w)
         if dense is not w and trace is not None:
             trace.append(TraceStep("as_dense", (w.shape,), dense.shape, 0))
-        merged = merge_sequential(k, dense)
+        merged = merge_sequential(prefix[-1], dense)
         if trace is not None:
-            trace.append(TraceStep("merge_sequential", (_dense_shape(k), dense.shape),
-                                   merged.shape, _seq_merge_mults(k, dense)))
-        k = merged
-    k = as_dense(k)
+            trace.append(TraceStep("merge_sequential", (_dense_shape(prefix[-1]), dense.shape),
+                                   merged.shape, _seq_merge_mults(prefix[-1], dense)))
+        factors.append(dense)
+        prefix.append(merged)
+    prefix[-1] = as_dense(prefix[-1])
+    return factors, prefix
+
+
+def squeeze_branch(branch, trace=None):
+    """A branch's fold (see _fold) as one dense kernel, then scaled."""
+    k = _fold(branch, trace)[1][-1]
     if branch.scaling is not None:
         scaled = apply_branch_scaling(k, branch.scaling)
         if trace is not None:
@@ -278,23 +283,27 @@ def check_center_alignable(block):
                              f"{kb_h}x{kb_w}; center alignment is undefined")
 
 
+def _expanded_input(block, x):
+    """The expanded route's prologue: channel and center-alignment checks,
+    the single outer padding, and the unstrided output extents."""
+    if x.channels != block.in_ch:
+        raise ShapeError("channels", block.in_ch, x.channels)
+    check_center_alignable(block)
+    xp = pad_spatial(x, *block.eval_geometry().padding)
+    keh, kew = block.effective_k
+    out_hw = (xp.shape[-2] - keh + 1, xp.shape[-1] - kew + 1)
+    if min(out_hw) < 1:
+        raise ShapeError("spatial", f">= effective kernel {keh}x{kew}", xp.shape[-2:])
+    return xp, out_hw
+
+
 def expanded_forward(block, x):
     """Evaluate the block layer by layer under single outer padding.
 
     The post-addition norm is not applied; it sits outside the linear
     region the squeeze covers.
     """
-    if x.channels != block.in_ch:
-        raise ShapeError("channels", block.in_ch, x.channels)
-    check_center_alignable(block)
-    geom = block.eval_geometry()
-    p_t, p_b, p_l, p_r = geom.padding
-    xp = pad_spatial(x, p_t, p_b, p_l, p_r)
-    keh, kew = block.effective_k
-    h_out = xp.shape[-2] - keh + 1
-    w_out = xp.shape[-1] - kew + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError("spatial", f">= effective kernel {keh}x{kew}", xp.shape[-2:])
+    xp, out_hw = _expanded_input(block, x)
     valid = ConvGeometry()
     outs = []
     for branch in block.branches:
@@ -303,9 +312,9 @@ def expanded_forward(block, x):
             a = conv2d_direct(a, w, valid)
         if branch.scaling is not None:
             a = scale_by_channel(a, branch.scaling)
-        outs.append(Tensor(a.data[_centered(a.shape, (h_out, w_out))]))
+        outs.append(Tensor(a.data[_centered(a.shape, out_hw)]))
     y = sum_over(outs)
-    s_h, s_w = geom.stride
+    s_h, s_w = block.output_geometry.stride
     if (s_h, s_w) != (1, 1):
         y = Tensor(y.data[..., ::s_h, ::s_w])
     return y

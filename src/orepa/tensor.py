@@ -52,6 +52,22 @@ def dtype_name(dt):
     raise ValueError(f"unsupported numpy dtype {dt}")
 
 
+def _checked_array(data, dtype, ranks):
+    """data as an f32/f64 array of one of the allowed ranks with every
+    extent >= 1; non-float input becomes f64 unless a dtype name is given."""
+    arr = np.asarray(data)
+    if dtype is not None:
+        arr = arr.astype(np_dtype(dtype), copy=False)
+    elif arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(np.float64)
+    if arr.ndim not in ranks:
+        raise ShapeError("rank", " or ".join(map(str, ranks)) if len(ranks) > 1 else ranks[0],
+                         arr.ndim)
+    if any(e < 1 for e in arr.shape):
+        raise ShapeError("extents", ">= 1", arr.shape)
+    return arr
+
+
 def _freeze(arr):
     arr = np.ascontiguousarray(arr)
     dtype_name(arr.dtype)
@@ -65,16 +81,7 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(np_dtype(dtype), copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        if arr.ndim not in (3, 4):
-            raise ShapeError("rank", "3 or 4", arr.ndim)
-        if any(e < 1 for e in arr.shape):
-            raise ShapeError("extents", ">= 1", arr.shape)
-        self.data = _freeze(arr)
+        self.data = _freeze(_checked_array(data, dtype, (3, 4)))
 
     @classmethod
     def zeros(cls, shape, dtype="f64"):
@@ -109,15 +116,7 @@ class KernelTensor:
     __slots__ = ("data", "groups")
 
     def __init__(self, data, groups=1, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(np_dtype(dtype), copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        if arr.ndim != 4:
-            raise ShapeError("rank", 4, arr.ndim)
-        if any(e < 1 for e in arr.shape):
-            raise ShapeError("extents", ">= 1", arr.shape)
+        arr = _checked_array(data, dtype, (4,))
         if groups < 1 or arr.shape[0] % groups != 0:
             raise ShapeError("out_channels", f"divisible by groups={groups}", arr.shape[0])
         self.data = _freeze(arr)

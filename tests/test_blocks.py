@@ -81,11 +81,10 @@ def test_preset_invalid_k():
 
 def test_linearize_adds_unit_scaling_and_post_norm():
     rng = np.random.default_rng(0)
-    branch = build_branch([L.conv(2, 3, 3)], rng, name="mystery", had_norm=True)
+    branch = build_branch([L.conv(2, 3, 3)], rng, name="mystery")
     block = BlockGraph(branches=[branch], post_add_norm=False)
     lin = linearize(block)
     assert lin.post_add_norm
-    assert not lin.branches[0].had_norm
     np.testing.assert_array_equal(lin.branches[0].scaling, np.ones(3))
 
 
@@ -94,7 +93,7 @@ def test_linearize_named_branches_get_catalog_defaults():
     defs = [("kxk", [L.conv(2, 4, 3)]), ("1x1", [L.conv(2, 4, 1)]),
             ("1x1_kxk", [L.conv(2, 4, 1), L.conv(4, 4, 3)]),
             ("1x1_pool", [L.identity_1x1(2, 4), L.avg_pool(4, 3)])]
-    branches = [build_branch(s, rng, name=n, had_norm=True) for n, s in defs]
+    branches = [build_branch(s, rng, name=n) for n, s in defs]
     lin = linearize(BlockGraph(branches=branches))
     got = [float(b.scaling[0]) for b in lin.branches]
     assert got == [SCALING_INIT["kxk"], SCALING_INIT["1x1"],
@@ -109,7 +108,7 @@ def test_linearize_named_branches_get_catalog_defaults():
 
 def test_linearize_idempotent():
     rng = np.random.default_rng(0)
-    branch = build_branch([L.conv(2, 2, 3)], rng, name="kxk", had_norm=True)
+    branch = build_branch([L.conv(2, 2, 3)], rng, name="kxk")
     once = linearize(BlockGraph(branches=[branch]))
     twice = linearize(once)
     assert twice.post_add_norm == once.post_add_norm

@@ -134,17 +134,34 @@ def _malformed_argv(tmp_path, case):
         payload["branches"][0]["layers"][0]["shape"][0] += 1
         (tmp_path / "bad.ckpt").write_text(json.dumps(payload))
         return ["analyze", tmp_path / "bad.ckpt", *csvs]
-    if case == "zero_steps":
-        return ["train-toy", spec, "--steps", 0]
-    if case == "zero_eta":
-        return ["train-toy", spec, "--steps", 1, "--eta", 0]
+    if case in BAD_FLAGS:
+        command, *flags = BAD_FLAGS[case]
+        return [command, spec, *flags]
     assert case == "unwritable_report"
     return ["squeeze", spec, "--out", tmp_path / "k.okt", "--json", tmp_path / "no" / "r.json"]
 
 
+# out-of-range numeric flags: exit 2 before any work, never a traceback,
+# a false exit 1 or a report of ratios over nothing
+BAD_FLAGS = {
+    "zero_steps": ["train-toy", "--steps", 0],
+    "zero_eta": ["train-toy", "--steps", 1, "--eta", 0],
+    "nan_weight_decay": ["train-toy", "--steps", 1, "--weight-decay", "nan"],
+    "lemma_zero_layers": ["dynamics", "--probe", "lemma", "--layers", 0],
+    "lemma_negative_layers": ["dynamics", "--probe", "lemma", "--layers", -1],
+    "dynamics_nan_eta": ["dynamics", "--probe", "convscale", "--eta", "nan"],
+    "dynamics_negative_eta": ["dynamics", "--probe", "shared", "--eta", -0.1],
+    "verify_nan_tol": ["verify", "--tol", "nan"],
+    "verify_negative_tol": ["verify", "--tol", -1],
+    "bench_zero_batch": ["bench", "--batch", 0],
+    "bench_zero_hw": ["bench", "--hw", 0, 0],
+    "gradcheck_zero_hw": ["gradcheck", "--hw", 4, 0],
+}
+
+
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
                                   "checkpoint_without_weights", "checkpoint_wrong_shape",
-                                  "zero_steps", "zero_eta", "unwritable_report"])
+                                  *BAD_FLAGS, "unwritable_report"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     rc = run(_malformed_argv(tmp_path, case))
     err = capsys.readouterr().err
@@ -203,6 +220,39 @@ def test_dtype_defaults_to_f64(tmp_path):
 def test_gradcheck_exits_zero():
     rc = run(["gradcheck", DATA / "orepa3x3.json", "--hw", 5, 5])
     assert rc == 0
+
+
+def test_verify_default_tol_is_1e9_for_f64(tmp_path):
+    out = tmp_path / "rep.json"
+    assert run(["verify", DATA / "orepa3x3.json", "--trials", 2, "--json", out]) == 0
+    assert json.loads(out.read_text())["tol"] == 1e-9
+
+
+F32_PRESETS = [("orepa3x3", 3), ("orepa1x1", 1), ("deepstem", 3), ("orepavgg", 3), ("dbb", 3)]
+
+
+def _f32_spec(tmp_path, preset, k):
+    spec = tmp_path / f"{preset}_f32.json"
+    spec.write_text(json.dumps({"in_ch": 4, "out_ch": 4, "k": k, "dtype": "f32",
+                                "seed": 7, "preset": preset}))
+    return spec
+
+
+@pytest.mark.parametrize("preset,k", F32_PRESETS)
+def test_f32_presets_pass_verify_and_gradcheck_at_default_flags(tmp_path, preset, k):
+    spec = _f32_spec(tmp_path, preset, k)
+    assert run(["verify", spec]) == 0
+    assert run(["gradcheck", spec]) == 0
+
+
+def test_f32_kernel_with_one_tap_off_by_1e2_fails_verify(tmp_path):
+    spec = _f32_spec(tmp_path, "orepa3x3", 3)
+    out = tmp_path / "k.okt"
+    assert run(["squeeze", spec, "--out", out]) == 0
+    data = read_okt(out).data.copy()
+    data[0, 0, 1, 1] += 1e-2
+    write_okt(out, KernelTensor(data))
+    assert run(["verify", spec, "--kernel", out]) == 1
 
 
 @pytest.mark.parametrize("probe,field,check", [
