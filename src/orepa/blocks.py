@@ -1,6 +1,8 @@
 """Preset training-time block topologies and the linearization transform.
 
-Branch order inside each preset is fixed so scaling-init vectors and
+A preset is data: its k rule, its branch names in order and its default
+dw_pw expansion. Each branch name has one recipe for its layers. Branch
+order inside each preset is fixed so scaling-init vectors and
 similarity-matrix indices stay reproducible across runs.
 """
 
@@ -12,9 +14,7 @@ from . import layers as L
 from .squeeze import BlockGraph, Branch, build_branch
 from .tensor import ConvGeometry, ShapeError
 
-PRESETS = ("orepa3x3", "orepa1x1", "deepstem", "orepavgg", "dbb")
-
-# Default per-branch scaling factors, keyed by branch name.
+# Default per-branch scaling factors, keyed by branch name; other names start at 1.0.
 SCALING_INIT = {
     "1x1": 1.0,
     "kxk": 0.25,
@@ -24,39 +24,43 @@ SCALING_INIT = {
     "dw_pw": 0.5,
 }
 
+# Each named branch's layers from (in_ch, out_ch, k, internal_ch, expansion).
+# The 1x1 convolutions feeding the pooling and filtering branches start as
+# identity layers so those branches begin as a pure pool / filter; the one
+# feeding the kxk branch starts random. An empty recipe drops the branch.
+RECIPES = {
+    "1x1": lambda i, o, k, mid, e: [L.conv(i, o, 1)],
+    "kxk": lambda i, o, k, mid, e: [L.conv(i, o, k)],
+    "1x1_kxk": lambda i, o, k, mid, e: [L.conv(i, mid, 1), L.conv(mid, o, k)],
+    "1x1_pool": lambda i, o, k, mid, e: [L.identity_1x1(i, o), L.avg_pool(o, k)],
+    "1x1_filter": lambda i, o, k, mid, e: [L.identity_1x1(i, o), L.freq_filter(o, k)],
+    "dw_pw": lambda i, o, k, mid, e: [L.depthwise(i, k, expansion=e), L.pointwise(i * e, o)],
+    "stem": lambda i, o, k, mid, e: [L.conv(i, mid, k), L.conv(mid, mid, k), L.conv(mid, o, k)],
+    "vgg_identity": lambda i, o, k, mid, e: [L.identity_1x1(i, trainable=False)] if i == o else [],
+    "vgg_1x1": lambda i, o, k, mid, e: [L.conv(i, o, 1)],
+}
 
-def _gamma(name, out_ch, override=None):
-    value = SCALING_INIT.get(name, 1.0) if override is None else override
-    return np.full(out_ch, float(value))
+ODD_K = "odd and >= 3"
+_OREPA = ("1x1", "kxk", "1x1_kxk", "1x1_pool", "1x1_filter", "dw_pw")
+
+# preset: (k rule, branch names in order, default dw_pw expansion)
+PRESET_TABLE = {
+    "orepa3x3": (ODD_K, _OREPA, 1),
+    "orepa1x1": (1, ("1x1", "1x1_kxk"), 1),
+    "deepstem": (3, ("stem",), 1),
+    "orepavgg": (3, _OREPA + ("vgg_identity", "vgg_1x1"), 8),
+    "dbb": (ODD_K, ("kxk", "1x1", "1x1_kxk", "1x1_pool"), 1),
+}
+
+PRESETS = tuple(PRESET_TABLE)
 
 
-def _orepa_branches(in_ch, out_ch, k, mid, expansion, rng, dtype, gamma_overrides,
-                    scaling_trainable):
-    """The six-branch family shared by orepa3x3 and orepavgg.
-
-    The 1x1 convolutions feeding the pooling and filtering branches start
-    as identity layers so those branches begin as a pure pool / filter;
-    the one feeding the kxk branch starts random.
-    """
-    ov = gamma_overrides or {}
-    defs = [
-        ("1x1", [L.conv(in_ch, out_ch, 1)]),
-        ("kxk", [L.conv(in_ch, out_ch, k)]),
-        ("1x1_kxk", [L.conv(in_ch, mid, 1), L.conv(mid, out_ch, k)]),
-        ("1x1_pool", [L.identity_1x1(in_ch, out_ch), L.avg_pool(out_ch, k)]),
-        ("1x1_filter", [L.identity_1x1(in_ch, out_ch), L.freq_filter(out_ch, k)]),
-        ("dw_pw", [L.depthwise(in_ch, k, expansion=expansion),
-                   L.pointwise(in_ch * expansion, out_ch)]),
-    ]
-    return [build_branch(specs, rng, dtype=dtype, name=name,
-                         scaling=_gamma(name, out_ch, ov.get(name)),
-                         scaling_trainable=scaling_trainable)
-            for name, specs in defs]
+def _gamma(name, out_ch):
+    return np.full(out_ch, float(SCALING_INIT.get(name, 1.0)))
 
 
 def build_preset(preset, in_ch, out_ch, k=3, dtype="f64", seed=0, stride=(1, 1),
-                 expansion=None, internal_ch=None, frozen_scaling=False,
-                 gamma_overrides=None):
+                 expansion=None, internal_ch=None, frozen_scaling=False):
     """Construct a linearized preset block with materialized weights.
 
     All randomness comes from one generator seeded with `seed`, consumed
@@ -64,70 +68,23 @@ def build_preset(preset, in_ch, out_ch, k=3, dtype="f64", seed=0, stride=(1, 1),
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {PRESETS}")
+    k_rule, names, default_expansion = PRESET_TABLE[preset]
     rng = np.random.default_rng(seed)
     mid = out_ch if internal_ch is None else internal_ch
     geom = ConvGeometry(stride=tuple(stride))
-    trainable_gamma = not frozen_scaling
-
-    if preset == "orepa3x3":
-        if k < 3 or k % 2 == 0:
-            raise ShapeError("k", "odd and >= 3", k)
-        branches = _orepa_branches(in_ch, out_ch, k, mid, expansion or 1, rng,
-                                   dtype, gamma_overrides, trainable_gamma)
-    elif preset == "orepa1x1":
-        if k != 1:
-            raise ShapeError("k", 1, k)
-        ov = gamma_overrides or {}
-        branches = [
-            build_branch([L.conv(in_ch, out_ch, 1)], rng, dtype=dtype, name="1x1",
-                         scaling=_gamma("1x1", out_ch, ov.get("1x1")),
-                         scaling_trainable=trainable_gamma),
-            build_branch([L.conv(in_ch, mid, 1), L.conv(mid, out_ch, 1)], rng,
-                         dtype=dtype, name="1x1_kxk",
-                         scaling=_gamma("1x1_kxk", out_ch, ov.get("1x1_kxk")),
-                         scaling_trainable=trainable_gamma),
-        ]
-    elif preset == "deepstem":
-        if k != 3:
-            raise ShapeError("k", 3, k)
-        specs = [L.conv(in_ch, mid, 3), L.conv(mid, mid, 3), L.conv(mid, out_ch, 3)]
-        branches = [build_branch(specs, rng, dtype=dtype, name="stem",
-                                 scaling=np.ones(out_ch),
-                                 scaling_trainable=trainable_gamma)]
-    elif preset == "orepavgg":
-        if k != 3:
-            raise ShapeError("k", 3, k)
-        branches = _orepa_branches(in_ch, out_ch, k, mid, expansion or 8, rng,
-                                   dtype, gamma_overrides, trainable_gamma)
-        if in_ch == out_ch:
-            branches.append(build_branch([L.identity_1x1(in_ch, trainable=False)], rng,
-                                         dtype=dtype, name="vgg_identity",
-                                         scaling=np.ones(out_ch),
-                                         scaling_trainable=trainable_gamma))
-        branches.append(build_branch([L.conv(in_ch, out_ch, 1)], rng, dtype=dtype,
-                                     name="vgg_1x1", scaling=np.ones(out_ch),
-                                     scaling_trainable=trainable_gamma))
-    else:  # dbb
-        if k < 3 or k % 2 == 0:
-            raise ShapeError("k", "odd and >= 3", k)
-        ov = gamma_overrides or {}
-        defs = [
-            ("kxk", [L.conv(in_ch, out_ch, k)]),
-            ("1x1", [L.conv(in_ch, out_ch, 1)]),
-            ("1x1_kxk", [L.conv(in_ch, mid, 1), L.conv(mid, out_ch, k)]),
-            ("1x1_pool", [L.identity_1x1(in_ch, out_ch), L.avg_pool(out_ch, k)]),
-        ]
-        branches = [build_branch(specs, rng, dtype=dtype, name=name,
-                                 scaling=_gamma(name, out_ch, ov.get(name)),
-                                 scaling_trainable=trainable_gamma)
-                    for name, specs in defs]
-
-    return BlockGraph(branches=branches, post_add_norm=True, output_geometry=geom)
+    if not ((k >= 3 and k % 2 == 1) if k_rule == ODD_K else k == k_rule):
+        raise ShapeError("k", k_rule, k)
+    e = expansion or default_expansion
+    recipes = [(name, RECIPES[name](in_ch, out_ch, k, mid, e)) for name in names]
+    branches = [build_branch(specs, rng, dtype=dtype, name=name,
+                             scaling=_gamma(name, out_ch),
+                             scaling_trainable=not frozen_scaling)
+                for name, specs in recipes if specs]
+    return BlockGraph(branches=branches, output_geometry=geom)
 
 
 def linearize(block):
-    """Make a block squeezable: drop norm markers, add per-branch scalings,
-    and mark a single post-addition norm.
+    """Make a block squeezable: add per-branch scalings.
 
     Branches that already carry a scaling keep it, so the transform is
     idempotent. New scalings start at the preset default for recognized
@@ -141,5 +98,4 @@ def linearize(block):
         branches.append(Branch(layers=list(b.layers), weights=list(b.weights),
                                scaling=scaling, scaling_trainable=b.scaling_trainable,
                                name=b.name))
-    return BlockGraph(branches=branches, post_add_norm=True,
-                      output_geometry=block.output_geometry)
+    return BlockGraph(branches=branches, output_geometry=block.output_geometry)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import layers as L
 from .blocks import build_preset
-from .squeeze import BlockGraph, Branch, build_branch
+from .squeeze import BlockGraph, build_branch
 from .tensor import ConvGeometry, KernelTensor
 
 
@@ -36,38 +36,29 @@ def validate_spec(doc):
         raise SpecError(f"spec validation failed: {exc.message}") from exc
 
 
+# The shape keys each layer kind reads; it ignores any other shape key.
+# A kind that reads k defaults it to the block's k, every other kind is 1x1.
+LAYER_KEYS = {"conv": ("out_ch", "k", "groups"), "identity1x1": ("out_ch", "groups"),
+              "scaling": (), "avgpool": ("k",), "freqfilter": ("k",),
+              "depthwise": ("k", "expansion"), "pointwise": ("out_ch",)}
+
+
 def _layer_from_obj(obj, in_ch, default_k):
     kind = obj["kind"]
-    k = obj.get("k", default_k if kind in ("conv", "avgpool", "freqfilter", "depthwise") else 1)
-    out_ch = obj.get("out_ch")
+    reads = LAYER_KEYS.get(kind, ())
+    shape = {key: obj[key] for key in reads if key in obj}
+    if "k" in reads:
+        shape.setdefault("k", default_k)
+    # a layer without out_ch keeps its width, times a depthwise expansion
+    out_ch = shape.pop("out_ch", None) or in_ch * shape.get("expansion", 1)
     init = None
-    if "init" in obj or "theta" in obj or "value" in obj or "symmetric" in obj:
+    if any(key in obj for key in ("init", "theta", "value", "symmetric")):
         init = L.InitRule(obj.get("init", "kaiming_uniform"),
                           theta=obj.get("theta", L.DEFAULT_THETA),
                           value=obj.get("value", 1.0),
                           symmetric=obj.get("symmetric", False))
-    kwargs = {"init": init} if init is not None else {}
-    trainable = obj.get("trainable")
-    if kind == "conv":
-        spec = L.LayerSpec("conv", in_ch, out_ch if out_ch else in_ch, k=k,
-                           groups=obj.get("groups", 1), trainable=trainable, **kwargs)
-    elif kind == "identity1x1":
-        spec = L.LayerSpec("identity1x1", in_ch, out_ch if out_ch else in_ch,
-                           groups=obj.get("groups", 1), trainable=trainable, **kwargs)
-    elif kind == "scaling":
-        spec = L.LayerSpec("scaling", in_ch, in_ch, trainable=trainable, **kwargs)
-    elif kind == "avgpool":
-        spec = L.LayerSpec("avgpool", in_ch, in_ch, k=k, trainable=trainable, **kwargs)
-    elif kind == "freqfilter":
-        spec = L.LayerSpec("freqfilter", in_ch, in_ch, k=k, trainable=trainable, **kwargs)
-    elif kind == "depthwise":
-        e = obj.get("expansion", 1)
-        spec = L.LayerSpec("depthwise", in_ch, in_ch * e, k=k, expansion=e,
-                           trainable=trainable, **kwargs)
-    else:  # pointwise
-        spec = L.LayerSpec("pointwise", in_ch, out_ch if out_ch else in_ch,
-                           trainable=trainable, **kwargs)
-    return spec
+    return L.LayerSpec(kind, in_ch, out_ch, init=init, trainable=obj.get("trainable"),
+                       **shape)
 
 
 def block_from_spec(doc):
@@ -106,8 +97,8 @@ def block_from_spec(doc):
             scaling = np.full(doc["out_ch"], float(scaling_init[bi]))
         branches.append(build_branch(specs, rng, dtype=dtype, scaling=scaling,
                                      name=f"branch{bi}"))
+    # the schema's post-addition-norm key is accepted and ignored: nothing reads it
     return BlockGraph(branches=branches,
-                      post_add_norm=doc.get("post_add_norm", False),
                       output_geometry=ConvGeometry(stride=tuple(doc.get("stride", (1, 1)))))
 
 
@@ -159,7 +150,13 @@ def load_checkpoint(path):
     block = block_from_spec(doc)
     dtype = doc.get("dtype", "f64")
     try:
+        if len(payload["branches"]) != len(block.branches):
+            raise SpecError(f"checkpoint {path} has {len(payload['branches'])} branches, "
+                            f"spec builds {len(block.branches)}")
         for branch, saved in zip(block.branches, payload["branches"]):
+            if len(saved["layers"]) != len(branch.weights):
+                raise SpecError(f"branch {branch.name}: {len(saved['layers'])} saved layers, "
+                                f"spec builds {len(branch.weights)}")
             for li, layer in enumerate(saved["layers"]):
                 old = branch.weights[li]
                 if (tuple(layer["shape"]), layer["groups"]) != (old.shape, old.groups):
@@ -168,6 +165,11 @@ def load_checkpoint(path):
                                     f"{list(old.shape)} groups {old.groups}")
                 arr = np.asarray(layer["data"]).reshape(old.shape)
                 branch.weights[li] = KernelTensor(arr, groups=old.groups, dtype=dtype)
+            got = None if saved["scaling"] is None else np.shape(saved["scaling"])
+            want = None if branch.scaling is None else branch.scaling.shape
+            if got != want:
+                raise SpecError(f"branch {branch.name}: saved scaling shape {got}, "
+                                f"spec builds {want}")
             if saved["scaling"] is not None:
                 branch.scaling = np.asarray(saved["scaling"],
                                             dtype=branch.weights[-1].data.dtype)

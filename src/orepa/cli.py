@@ -2,9 +2,10 @@
 train-toy, analyze.
 
 Exit codes: 0 pass, 1 invariant violation, 2 usage, spec, checkpoint,
-kernel-file or file-system error, 3 internal merge/shape error. Reports
-are deterministic for a given (spec, seed, flags); no timestamps are
-emitted, and a NaN or infinite number is written as null.
+kernel-file (including a kernel that does not fit the spec) or file-system
+error, 3 internal merge/shape error. Reports are deterministic for a given
+(spec, seed, flags); no timestamps are emitted, and a NaN or infinite
+number is written as null.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ VERIFY_TOL = {"f64": 1e-9, "f32": 1e-3}
 
 
 class UsageError(Exception):
-    """A flag value is out of range; main reports it with exit code 2."""
+    """A flag value is out of range or does not fit the spec; main reports
+    it with exit code 2."""
 
 
 def _check_flags(args):
@@ -107,7 +109,14 @@ def cmd_verify(args):
     doc, block = load_spec(args.spec)
     dtype = doc.get("dtype", "f64")
     tol = VERIFY_TOL[dtype] if args.tol is None else args.tol
-    kernel = read_okt(args.kernel) if args.kernel else squeeze_block(block).kernel
+    if args.kernel:
+        kernel = read_okt(args.kernel)
+        got = (kernel.dtype, kernel.out_channels, kernel.in_channels, kernel.kh, kernel.kw)
+        want = (dtype, block.out_ch, block.in_ch, *block.effective_k)
+        if got != want:
+            raise UsageError(f"--kernel has (dtype, Co, Ci, kh, kw) {got}, the spec needs {want}")
+    else:
+        kernel = squeeze_block(block).kernel
     rng = np.random.default_rng(doc["seed"])
     geom = block.eval_geometry()
     residuals = []

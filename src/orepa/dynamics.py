@@ -43,8 +43,8 @@ class ParamSet:
     """Bijection between a block's trainable scalars and one flat vector.
 
     Order: branches in block order; within a branch, layers in order,
-    then the branch scaling. Scaling layers expose their diagonal as the
-    parameter; every other kind exposes its full (grouped) kernel.
+    then the branch scaling. A trainable layer's parameter is its native
+    (grouped) kernel; a scaling layer's (C, 1, 1, 1) kernel is its diagonal.
     """
 
     def __init__(self, block):
@@ -55,10 +55,8 @@ class ParamSet:
             for li, (spec, kern) in enumerate(zip(branch.layers, branch.weights)):
                 if not spec.trainable:
                     continue
-                shape = ((kern.out_channels,) if spec.kind == "scaling"
-                         else kern.shape)
-                size = int(np.prod(shape))
-                self.entries.append(ParamEntry(bi, li, spec.kind, shape, offset, size))
+                size = kern.data.size
+                self.entries.append(ParamEntry(bi, li, spec.kind, kern.shape, offset, size))
                 offset += size
             if branch.scaling is not None and branch.scaling_trainable:
                 size = branch.out_ch
@@ -70,12 +68,7 @@ class ParamSet:
         out = np.zeros(self.size)
         for e in self.entries:
             branch = self.block.branches[e.branch]
-            if e.layer < 0:
-                vals = branch.scaling
-            elif e.kind == "scaling":
-                vals = branch.weights[e.layer].data[:, 0, 0, 0]
-            else:
-                vals = branch.weights[e.layer].data
+            vals = branch.scaling if e.layer < 0 else branch.weights[e.layer].data
             out[e.offset:e.offset + e.size] = np.asarray(vals, dtype=np.float64).ravel()
         return out
 
@@ -89,12 +82,8 @@ class ParamSet:
                 branch.scaling = chunk.astype(branch.scaling.dtype)
                 continue
             old = branch.weights[e.layer]
-            if e.kind == "scaling":
-                data = np.zeros(old.shape, dtype=old.data.dtype)
-                data[:, 0, 0, 0] = chunk
-            else:
-                data = chunk.astype(old.data.dtype)
-            branch.weights[e.layer] = KernelTensor(data, groups=old.groups)
+            branch.weights[e.layer] = KernelTensor(chunk.astype(old.data.dtype),
+                                                   groups=old.groups)
 
     def flatten_grads(self, grad_map):
         """grad_map: {(branch, layer): array} with layer -1 for gamma."""
@@ -157,10 +146,6 @@ def _dense_grad_to_native(grad, kernel):
     return blocks[np.arange(g), :, np.arange(g)].reshape(kernel.shape)
 
 
-def _native_grad_to_param(grad, spec):
-    return grad[:, 0, 0, 0] if spec.kind == "scaling" else grad
-
-
 # --------------------------------------------------------------------------
 # The two gradient routes
 # --------------------------------------------------------------------------
@@ -186,11 +171,9 @@ def backward_through_squeeze(block, x, upstream):
             g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
         for li in range(len(factors) - 1, 0, -1):
             g_prev, g_wi = _merge_backward(prefix[li - 1], factors[li], g_k)
-            native = _dense_grad_to_native(g_wi, branch.weights[li])
-            grad_map[(bi, li)] = _native_grad_to_param(native, branch.layers[li])
+            grad_map[(bi, li)] = _dense_grad_to_native(g_wi, branch.weights[li])
             g_k = g_prev
-        native = _dense_grad_to_native(g_k, branch.weights[0])
-        grad_map[(bi, 0)] = _native_grad_to_param(native, branch.layers[0])
+        grad_map[(bi, 0)] = _dense_grad_to_native(g_k, branch.weights[0])
     return ps.flatten_grads(grad_map)
 
 
@@ -217,8 +200,7 @@ def backward_through_expanded(block, x, upstream):
             g_a = g_a * np.asarray(branch.scaling, dtype=np.float64)[None, :, None, None]
         for li in range(len(branch.weights) - 1, -1, -1):
             w = branch.weights[li]
-            native = _conv_grad_w(acts[li], g_a, w, valid)
-            grad_map[(bi, li)] = _native_grad_to_param(native, branch.layers[li])
+            grad_map[(bi, li)] = _conv_grad_w(acts[li], g_a, w, valid)
             if li > 0:
                 g_a = _conv_grad_x(g_a, w)
     return ps.flatten_grads(grad_map)

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import LayerSpec, as_dense, materialize
+from .layers import as_dense, materialize
 from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _centered,
-                     conv2d_direct, pad_spatial, scale_by_channel, sum_over)
+                     conv2d_direct, pad_spatial, same_padding, scale_by_channel,
+                     sum_over)
 
 
 class MergeError(ValueError):
@@ -72,7 +73,7 @@ class Branch:
 
 @dataclass
 class BlockGraph:
-    """Parallel branches, a post-addition norm marker, and output geometry.
+    """Parallel branches and output geometry.
 
     Only the geometry's stride is honored when evaluating the block; the
     padding used for block evaluation is pinned to (K_e - 1) / 2 per side
@@ -80,7 +81,6 @@ class BlockGraph:
     """
 
     branches: list
-    post_add_norm: bool = False
     output_geometry: ConvGeometry = field(default_factory=ConvGeometry)
 
     def __post_init__(self):
@@ -111,10 +111,7 @@ class BlockGraph:
 
     def eval_geometry(self):
         """Same-padded geometry at the block's effective extent plus its stride."""
-        keh, kew = self.effective_k
-        p_t, p_l = (keh - 1) // 2, (kew - 1) // 2
-        return ConvGeometry(stride=self.output_geometry.stride,
-                            padding=(p_t, keh - 1 - p_t, p_l, kew - 1 - p_l))
+        return same_padding(*self.effective_k, self.output_geometry.stride)
 
 
 def build_branch(layer_specs, rng, dtype="f64", scaling=None, name="",
@@ -298,11 +295,7 @@ def _expanded_input(block, x):
 
 
 def expanded_forward(block, x):
-    """Evaluate the block layer by layer under single outer padding.
-
-    The post-addition norm is not applied; it sits outside the linear
-    region the squeeze covers.
-    """
+    """Evaluate the block layer by layer under single outer padding."""
     xp, out_hw = _expanded_input(block, x)
     valid = ConvGeometry()
     outs = []

@@ -83,10 +83,6 @@ class Tensor:
     def __init__(self, data, dtype=None):
         self.data = _freeze(_checked_array(data, dtype, (3, 4)))
 
-    @classmethod
-    def zeros(cls, shape, dtype="f64"):
-        return cls(np.zeros(shape, dtype=np_dtype(dtype)))
-
     @property
     def shape(self):
         return tuple(self.data.shape)

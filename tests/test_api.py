@@ -9,8 +9,7 @@ import orepa
 from orepa.cli import build_parser
 
 SIGNATURES = {
-    "BlockGraph": "(branches: 'list', post_add_norm: 'bool' = False, "
-                  "output_geometry: 'ConvGeometry' = <factory>) -> None",
+    "BlockGraph": "(branches: 'list', output_geometry: 'ConvGeometry' = <factory>) -> None",
     "Branch": "(layers: 'list', weights: 'list', scaling: 'np.ndarray' = None, "
               "scaling_trainable: 'bool' = True, name: 'str' = '') -> None",
     "ConvGeometry": "(stride: 'tuple' = (1, 1), padding: 'tuple' = (0, 0, 0, 0)) -> None",
@@ -43,8 +42,7 @@ SIGNATURES = {
     "build_branch": "(layer_specs, rng, dtype='f64', scaling=None, name='', "
                     "scaling_trainable=True)",
     "build_preset": "(preset, in_ch, out_ch, k=3, dtype='f64', seed=0, stride=(1, 1), "
-                    "expansion=None, internal_ch=None, frozen_scaling=False, "
-                    "gamma_overrides=None)",
+                    "expansion=None, internal_ch=None, frozen_scaling=False)",
     "channel_norm_profile": "(block)",
     "conv2d_direct": "(x, w, geom=None, bias=None)",
     "cost_report": "(block, feature_hw, batch)",

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,12 +11,13 @@ from orepa.dynamics import ParamSet
 from orepa.squeeze import BlockGraph, build_branch, squeeze_block
 from orepa.tensor import ShapeError
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def test_orepa3x3_structure():
     block = build_preset("orepa3x3", 4, 8, 3, seed=0)
     assert [b.name for b in block.branches] == [
         "1x1", "kxk", "1x1_kxk", "1x1_pool", "1x1_filter", "dw_pw"]
-    assert block.post_add_norm
     assert block.effective_k == (3, 3)
 
 
@@ -79,12 +84,11 @@ def test_preset_invalid_k():
     assert set(PRESETS) == {"orepa3x3", "orepa1x1", "deepstem", "orepavgg", "dbb"}
 
 
-def test_linearize_adds_unit_scaling_and_post_norm():
+def test_linearize_adds_unit_scaling():
     rng = np.random.default_rng(0)
     branch = build_branch([L.conv(2, 3, 3)], rng, name="mystery")
-    block = BlockGraph(branches=[branch], post_add_norm=False)
+    block = BlockGraph(branches=[branch])
     lin = linearize(block)
-    assert lin.post_add_norm
     np.testing.assert_array_equal(lin.branches[0].scaling, np.ones(3))
 
 
@@ -111,7 +115,6 @@ def test_linearize_idempotent():
     branch = build_branch([L.conv(2, 2, 3)], rng, name="kxk")
     once = linearize(BlockGraph(branches=[branch]))
     twice = linearize(once)
-    assert twice.post_add_norm == once.post_add_norm
     np.testing.assert_array_equal(twice.branches[0].scaling, once.branches[0].scaling)
     assert twice.branches[0].weights[0] is once.branches[0].weights[0]
 
@@ -149,3 +152,63 @@ def test_preset_weights_deterministic_per_seed():
     a0 = a.branches[0].weights[0].data
     assert a0.tobytes() == b.branches[0].weights[0].data.tobytes()
     assert a0.tobytes() != c.branches[0].weights[0].data.tobytes()
+
+
+# --------------------------------------------------------------------------
+# Byte-level golden of every preset build
+# --------------------------------------------------------------------------
+
+PRESET_KS = [("orepa3x3", 3), ("orepa3x3", 5), ("orepa1x1", 1), ("deepstem", 3),
+             ("orepavgg", 3), ("dbb", 3), ("dbb", 5)]
+PRESET_OPTIONS = [{}, {"expansion": 2}, {"expansion": 0}, {"internal_ch": 3},
+                  {"frozen_scaling": True}, {"stride": (2, 1)},
+                  {"expansion": 3, "internal_ch": 5, "frozen_scaling": True}]
+# builds that raise: the golden pins their error type and message
+PRESET_ERRORS = [("orepa3x3", 4, 4, 4, {}), ("orepa3x3", 1, 4, 4, {}),
+                 ("orepa1x1", 3, 4, 4, {}), ("deepstem", 5, 4, 4, {}),
+                 ("orepavgg", 5, 4, 4, {}), ("dbb", 2, 4, 4, {}), ("nope", 3, 4, 4, {}),
+                 ("orepa3x3", 3, 0, 4, {}), ("dbb", 3, 4, 0, {}),
+                 ("orepavgg", 3, 4, 4, {"internal_ch": 0}),
+                 ("orepa1x1", 1, 4, 4, {"internal_ch": -1})]
+
+
+def _build_digest(block):
+    """sha256 over everything a preset build decides: geometry, branch
+    names, layer specs, weight bytes and groups, scaling and its mode."""
+    h = hashlib.sha256(repr(block.output_geometry).encode())
+    for b in block.branches:
+        h.update(repr((b.name, b.scaling_trainable, b.layers)).encode())
+        for w in b.weights:
+            h.update(repr((w.shape, w.groups, w.data.dtype.str)).encode())
+            h.update(w.data.tobytes())
+        h.update(b"none" if b.scaling is None
+                 else repr(b.scaling.dtype.str).encode() + b.scaling.tobytes())
+    return h.hexdigest()
+
+
+def _preset_case(preset, k, in_ch, out_ch, opts, dtype="f64"):
+    key = f"{preset} k={k} {in_ch}->{out_ch} {dtype} {json.dumps(opts, sort_keys=True)}"
+    try:
+        return key, _build_digest(build_preset(preset, in_ch, out_ch, k, dtype=dtype,
+                                               seed=11, **opts))
+    except ValueError as exc:
+        return key, f"{type(exc).__name__}: {exc}"
+
+
+def preset_digests():
+    """Every case of tests/golden/presets.json; regenerate that file with
+    `PYTHONPATH=src python tests/test_blocks.py`."""
+    cases = [(p, k, i, o, opts, dt) for p, k in PRESET_KS
+             for i, o in ((4, 4), (3, 5)) for opts in PRESET_OPTIONS for dt in ("f64", "f32")]
+    cases += [(*case, "f64") for case in PRESET_ERRORS]
+    return dict(_preset_case(*case) for case in cases)
+
+
+def test_preset_builds_match_golden():
+    want = json.loads((GOLDEN / "presets.json").read_text())
+    assert preset_digests() == want
+
+
+if __name__ == "__main__":
+    (GOLDEN / "presets.json").write_text(json.dumps(preset_digests(), indent=1,
+                                                    sort_keys=True) + "\n")

@@ -134,12 +134,36 @@ def _malformed_argv(tmp_path, case):
         payload["branches"][0]["layers"][0]["shape"][0] += 1
         (tmp_path / "bad.ckpt").write_text(json.dumps(payload))
         return ["analyze", tmp_path / "bad.ckpt", *csvs]
+    if case in TRUNCATED_CHECKPOINT:
+        doc, block = load_spec(spec)
+        save_checkpoint(tmp_path / "bad.ckpt", doc, block)
+        payload = json.loads((tmp_path / "bad.ckpt").read_text())
+        TRUNCATED_CHECKPOINT[case](payload["branches"])
+        (tmp_path / "bad.ckpt").write_text(json.dumps(payload))
+        return ["analyze", tmp_path / "bad.ckpt", *csvs]
+    if case in UNFIT_KERNEL:
+        write_okt(tmp_path / "k.okt", UNFIT_KERNEL[case])
+        return ["verify", spec, "--kernel", tmp_path / "k.okt", "--trials", 1]
     if case in BAD_FLAGS:
         command, *flags = BAD_FLAGS[case]
         return [command, spec, *flags]
     assert case == "unwritable_report"
     return ["squeeze", spec, "--out", tmp_path / "k.okt", "--json", tmp_path / "no" / "r.json"]
 
+
+# checkpoints of orepa3x3.json that lost part of what the spec builds
+TRUNCATED_CHECKPOINT = {
+    "checkpoint_without_branches": lambda branches: branches.clear(),
+    "checkpoint_missing_layer": lambda branches: branches[2]["layers"].pop(),
+    "checkpoint_wrong_scaling": lambda branches: branches[0]["scaling"].append(1.0),
+}
+
+# well-formed OKT kernels that do not fit orepa3x3.json (f64, 4 -> 4, 3x3)
+UNFIT_KERNEL = {
+    "kernel_wrong_extent": KernelTensor(np.zeros((4, 4, 5, 5))),
+    "kernel_wrong_in_ch": KernelTensor(np.zeros((4, 3, 3, 3))),
+    "kernel_f32": KernelTensor(np.zeros((4, 4, 3, 3)), dtype="f32"),
+}
 
 # out-of-range numeric flags: exit 2 before any work, never a traceback,
 # a false exit 1 or a report of ratios over nothing
@@ -161,7 +185,8 @@ BAD_FLAGS = {
 
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
                                   "checkpoint_without_weights", "checkpoint_wrong_shape",
-                                  *BAD_FLAGS, "unwritable_report"])
+                                  *TRUNCATED_CHECKPOINT, *UNFIT_KERNEL, *BAD_FLAGS,
+                                  "unwritable_report"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     rc = run(_malformed_argv(tmp_path, case))
     err = capsys.readouterr().err
@@ -352,6 +377,29 @@ def test_checkpoint_round_trip(tmp_path):
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa.data, wb.data)
         np.testing.assert_array_equal(a.scaling, b.scaling)
+
+
+# a spec layer reads only its kind's shape keys; (kind, in, out, k, groups, expansion)
+# of a 4-channel layer in a k = 3 spec
+IGNORED_KEYS = [
+    ({"kind": "scaling", "k": 3}, ("scaling", 4, 4, 1, 4, 1)),
+    ({"kind": "scaling", "out_ch": 8, "groups": 2, "expansion": 2}, ("scaling", 4, 4, 1, 4, 1)),
+    ({"kind": "avgpool", "out_ch": 8, "groups": 2, "expansion": 2}, ("avgpool", 4, 4, 3, 4, 1)),
+    ({"kind": "freqfilter", "k": 5, "out_ch": 8}, ("freqfilter", 4, 4, 5, 4, 1)),
+    ({"kind": "identity1x1", "k": 3, "expansion": 2}, ("identity1x1", 4, 4, 1, 1, 1)),
+    ({"kind": "depthwise", "out_ch": 5, "groups": 2, "expansion": 2},
+     ("depthwise", 4, 8, 3, 4, 2)),
+    ({"kind": "pointwise", "k": 3, "groups": 2, "expansion": 2}, ("pointwise", 4, 4, 1, 1, 1)),
+    ({"kind": "conv", "expansion": 2}, ("conv", 4, 4, 3, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("obj,want", IGNORED_KEYS, ids=[o["kind"] for o, _ in IGNORED_KEYS])
+def test_spec_layer_ignores_keys_its_kind_does_not_read(obj, want):
+    doc = {"in_ch": 4, "out_ch": want[2], "k": 3, "seed": 0, "branches": [[obj]]}
+    spec = block_from_spec(doc).branches[0].layers[0]
+    assert (spec.kind, spec.in_ch, spec.out_ch, spec.k, spec.effective_groups,
+            spec.expansion) == want
 
 
 def test_spec_branch_width_mismatch_rejected():

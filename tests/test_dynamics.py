@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orepa import layers as L
 from orepa.blocks import build_preset
@@ -12,10 +14,11 @@ from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _conv_grad_w,
                             probe_conv_scale_update, probe_multilayer_lemma,
                             probe_shared_gamma, project_onto, sgd_step,
                             train_toy)
-from orepa.squeeze import BlockGraph, build_branch, merge_sequential, squeeze_block
+from orepa.squeeze import (BlockGraph, MergeError, build_branch, merge_sequential,
+                           squeeze_block)
 from orepa.tensor import ConvGeometry, KernelTensor, Tensor, conv2d_direct
 
-from util import fd_grads_via_expanded, make_random_block, rand_input
+from util import block_graphs, fd_grads_via_expanded, make_random_block, rand_input
 
 
 # --------------------------------------------------------------------------
@@ -43,7 +46,7 @@ def test_paramset_scaling_layer_exposes_diagonal():
     block = BlockGraph(branches=[branch])
     ps = ParamSet(block)
     entry = [e for e in ps.entries if e.kind == "scaling"][0]
-    assert entry.shape == (2,)
+    assert entry.shape == (2, 1, 1, 1)
     flat = ps.get_flat()
     np.testing.assert_array_equal(flat[entry.offset:entry.offset + 2], [0.5, 0.5])
 
@@ -93,6 +96,26 @@ def test_gradient_routes_agree_on_random_blocks(seed):
     gs = backward_through_squeeze(block, x, g)
     ge = backward_through_expanded(block, x, g)
     assert np.max(np.abs(gs - ge)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=block_graphs(), hw=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+       seed=st.integers(0, 2 ** 16))
+def test_gradient_routes_agree_property(block, hw, seed):
+    rng = np.random.default_rng(seed)
+    x = rand_input(rng, block, hw=hw, batch=2)
+    s_h, s_w = block.output_geometry.stride
+    g = Tensor(rng.standard_normal((2, block.out_ch, (hw[0] - 1) // s_h + 1,
+                                    (hw[1] - 1) // s_w + 1)), dtype=block.dtype)
+    even = any(k % 2 == 0 for b in block.branches for k in b.effective_k)
+    if even and len(block.branches) > 1:
+        for route in (backward_through_squeeze, backward_through_expanded):
+            with pytest.raises(MergeError):
+                route(block, x, g)
+        return
+    gs = backward_through_squeeze(block, x, g)
+    ge = backward_through_expanded(block, x, g)
+    assert np.max(np.abs(gs - ge), initial=0.0) <= {"f64": 1e-9, "f32": 1e-3}[block.dtype]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -11,10 +11,10 @@ from orepa.squeeze import (BlockGraph, Branch, MergeError, apply_branch_scaling,
                            block_forward_squeezed, build_branch, cost_report,
                            expanded_forward, merge_parallel, merge_sequential,
                            squeeze_block)
-from orepa.tensor import ConvGeometry, KernelTensor, Tensor, conv2d_direct
+from orepa.tensor import KernelTensor, Tensor, conv2d_direct
 
 from oracles import merge_kernels_loop
-from util import make_random_block, rand_input
+from util import block_graphs, make_random_block, rand_input
 
 
 def merge_sequential_alt(w1, w2):
@@ -274,6 +274,9 @@ def test_preset_squeeze_forward_equivalence(preset, kwargs):
     assert np.max(np.abs(direct.data - expanded.data)) <= 1e-10
 
 
+EQUIV_TOL = {"f64": 1e-9, "f32": 1e-3}
+
+
 def test_random_blocks_equivalence_f64():
     rng = np.random.default_rng(100)
     for seed in range(40):
@@ -292,6 +295,24 @@ def test_random_blocks_equivalence_f32():
         direct = block_forward_squeezed(block, x)
         expanded = expanded_forward(block, x)
         assert np.max(np.abs(direct.data - expanded.data)) <= 1e-3, f"seed {seed}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=block_graphs(), hw=st.tuples(st.integers(3, 9), st.integers(3, 9)),
+       seed=st.integers(0, 2 ** 16))
+def test_squeezed_forward_equals_expanded_property(block, hw, seed):
+    x = rand_input(np.random.default_rng(seed), block, hw=hw, batch=2)
+    even = any(k % 2 == 0 for b in block.branches for k in b.effective_k)
+    if even and len(block.branches) > 1:
+        with pytest.raises(MergeError):
+            squeeze_block(block)
+        with pytest.raises(MergeError):
+            expanded_forward(block, x)
+        return
+    direct = block_forward_squeezed(block, x)
+    expanded = expanded_forward(block, x)
+    assert direct.shape == expanded.shape
+    assert np.max(np.abs(direct.data - expanded.data)) <= EQUIV_TOL[block.dtype]
 
 
 def test_strided_block_equivalence():

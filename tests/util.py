@@ -1,11 +1,15 @@
-"""Shared test helpers: a random block generator and an independent
-finite-difference oracle that goes through the expanded evaluation."""
+"""Shared test helpers: a seeded random block generator, the same
+generator as a hypothesis strategy, and an independent finite-difference
+oracle that goes through the expanded evaluation."""
+
+from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from orepa import layers as L
 from orepa.dynamics import ParamSet
-from orepa.squeeze import BlockGraph, Branch, build_branch, expanded_forward
+from orepa.squeeze import BlockGraph, build_branch, expanded_forward
 from orepa.tensor import ConvGeometry, Tensor
 
 
@@ -13,24 +17,24 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _random_layer(rng, w_in, w_out, ks):
+def _random_layer(src, w_in, w_out, ks):
     if w_in == w_out:
-        kind = rng.choice(["conv", "gconv", "identity1x1", "scaling", "avgpool",
-                           "freqfilter", "depthwise", "pointwise"])
+        kind = src.pick(["conv", "gconv", "identity1x1", "scaling", "avgpool",
+                         "freqfilter", "depthwise", "pointwise"])
     else:
-        kind = rng.choice(["conv", "pointwise"])
-    k = int(rng.choice(ks))
+        kind = src.pick(["conv", "pointwise"])
+    k = int(src.pick(ks))
     if kind == "conv":
         return L.conv(w_in, w_out, k)
     if kind == "gconv":
-        g = int(rng.choice(_divisors(w_in)))
+        g = int(src.pick(_divisors(w_in)))
         if w_out % g:
             g = 1
         return L.conv(w_in, w_out, k, groups=g)
     if kind == "identity1x1":
         return L.identity_1x1(w_in)
     if kind == "scaling":
-        return L.scaling(w_in, value=float(rng.uniform(0.3, 1.2)))
+        return L.scaling(w_in, value=src.value())
     if kind == "avgpool":
         return L.avg_pool(w_in, k)
     if kind == "freqfilter":
@@ -40,24 +44,56 @@ def _random_layer(rng, w_in, w_out, ks):
     return L.pointwise(w_in, w_out)
 
 
+def _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_ch, ks):
+    """A block drawn from src: ints(lo, hi), width(max_ch, prev) and
+    pick(options) choose its structure, value() a scaling layer's value,
+    scaling(out_ch) a branch scaling or None; weight_rng materializes the
+    kernels."""
+    in_ch = src.width(max_ch, None)
+    out_ch = src.width(max_ch, in_ch)
+    branches = []
+    for bi in range(src.ints(1, max_branches)):
+        widths = [in_ch]
+        for _ in range(src.ints(1, max_depth) - 1):
+            widths.append(src.width(max_ch, widths[-1]))
+        widths.append(out_ch)
+        depth = len(widths) - 1
+        specs = [_random_layer(src, widths[i], widths[i + 1], ks) for i in range(depth)]
+        branches.append(build_branch(specs, weight_rng, dtype=dtype,
+                                     scaling=src.scaling(out_ch), name=f"b{bi}"))
+    return BlockGraph(branches=branches, output_geometry=ConvGeometry(stride=stride))
+
+
 def make_random_block(seed, max_branches=6, max_depth=3, max_ch=8, ks=(1, 3, 5),
                       dtype="f64", with_scaling=True, stride=(1, 1)):
     rng = np.random.default_rng(seed)
-    in_ch = int(rng.integers(1, max_ch + 1))
-    out_ch = int(rng.integers(1, max_ch + 1))
-    n_branches = int(rng.integers(1, max_branches + 1))
-    branches = []
-    for bi in range(n_branches):
-        depth = int(rng.integers(1, max_depth + 1))
-        widths = [in_ch] + [int(rng.integers(1, max_ch + 1)) for _ in range(depth - 1)] + [out_ch]
-        specs = [_random_layer(rng, widths[i], widths[i + 1], ks) for i in range(depth)]
-        scaling = None
-        if with_scaling and rng.random() < 0.8:
-            scaling = rng.uniform(0.3, 1.2, size=out_ch)
-        branches.append(build_branch(specs, rng, dtype=dtype, scaling=scaling,
-                                     name=f"b{bi}"))
-    return BlockGraph(branches=branches, post_add_norm=True,
-                      output_geometry=ConvGeometry(stride=stride))
+    ints = lambda lo, hi: int(rng.integers(lo, hi + 1))  # noqa: E731
+    src = SimpleNamespace(
+        ints=ints, width=lambda max_ch, prev: ints(1, max_ch), pick=rng.choice,
+        value=lambda: float(rng.uniform(0.3, 1.2)),
+        scaling=lambda c: (rng.uniform(0.3, 1.2, size=c)
+                           if with_scaling and rng.random() < 0.8 else None))
+    return _random_block(src, rng, dtype, stride, max_branches, max_depth, max_ch, ks)
+
+
+@st.composite
+def block_graphs(draw, max_branches=4, max_depth=3, max_ch=6, ks=(1, 2, 3, 4, 5)):
+    """Hypothesis strategy for BlockGraphs: every layer kind, grouped
+    convolutions, odd and even extents, f64 and f32, strides 1 and 2, with
+    and without branch scalings. A width often repeats the one before it,
+    so that the channel-wise kinds, which keep their width, get drawn."""
+    src = SimpleNamespace(
+        ints=lambda lo, hi: draw(st.integers(lo, hi)),
+        width=lambda max_ch, prev: draw(st.integers(1, max_ch) if prev is None
+                                        else st.just(prev) | st.integers(1, max_ch)),
+        pick=lambda options: draw(st.sampled_from(list(options))),
+        value=lambda: draw(st.floats(0.3, 1.2)),
+        scaling=lambda c: draw(st.none() | st.lists(st.floats(0.3, 1.2),
+                                                    min_size=c, max_size=c)))
+    dtype = src.pick(["f64", "f32"])
+    stride = (src.ints(1, 2), src.ints(1, 2))
+    weight_rng = np.random.default_rng(src.ints(0, 2 ** 32 - 1))
+    return _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_ch, ks)
 
 
 def fd_grads_via_expanded(block, x, upstream, eps=1e-6):
