@@ -74,7 +74,9 @@ def build_preset(preset, in_ch, out_ch, k=3, dtype="f64", seed=0, stride=(1, 1),
     geom = ConvGeometry(stride=tuple(stride))
     if not ((k >= 3 and k % 2 == 1) if k_rule == ODD_K else k == k_rule):
         raise ShapeError("k", k_rule, k)
-    e = expansion or default_expansion
+    if expansion is not None and expansion < 1:
+        raise ShapeError("expansion", ">= 1, or None for the preset default", expansion)
+    e = default_expansion if expansion is None else expansion
     recipes = [(name, RECIPES[name](in_ch, out_ch, k, mid, e)) for name in names]
     branches = [build_branch(specs, rng, dtype=dtype, name=name,
                              scaling=_gamma(name, out_ch),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import layers as L
 from .blocks import build_preset
-from .squeeze import BlockGraph, build_branch
+from .squeeze import BlockGraph, MergeError, build_branch, check_center_alignable
 from .tensor import ConvGeometry, KernelTensor
 
 
@@ -98,8 +98,13 @@ def block_from_spec(doc):
         branches.append(build_branch(specs, rng, dtype=dtype, scaling=scaling,
                                      name=f"branch{bi}"))
     # the schema's post-addition-norm key is accepted and ignored: nothing reads it
-    return BlockGraph(branches=branches,
-                      output_geometry=ConvGeometry(stride=tuple(doc.get("stride", (1, 1)))))
+    block = BlockGraph(branches=branches,
+                       output_geometry=ConvGeometry(stride=tuple(doc.get("stride", (1, 1)))))
+    try:
+        check_center_alignable(block)
+    except MergeError as exc:
+        raise SpecError(f"branches cannot be merged: {exc}") from exc
+    return block
 
 
 def load_spec(path):

@@ -121,19 +121,41 @@ def _conv_grad_x(gout, kernel):
 
 
 def _merge_backward(w1, w2, gout):
-    """Adjoint of merge_sequential for a grouped w1 and a dense w2, each
-    gradient a weight adjoint of correlating gout, the dense merged
-    kernel's gradient. dw1, in w1's native shape, is taken against w2 with
-    w1's groups. dw2 is taken against w1 with the channel roles swapped per
-    group: gout regrouped to (C0 / G, G * C2, ...) against w1 transposed to
-    (C0 / G, C1, ...). With G = 1 the regrouping is a view."""
+    """Adjoint of merge_sequential for a grouped w1 and a dense w2, given
+    gout, the dense merged kernel's gradient; dw1 comes in w1's native
+    shape.
+
+    When either kernel is 1x1, gout regrouped to (C2, G, C0 / G * k1h * k1w,
+    k2h * k2w) already holds every window of the merge, one row per w1
+    element and one column per w2 tap, so each gradient is one batched
+    GEMM over all taps: dw1 over G, contracting C2 and w2's taps, and dw2
+    over G for a 1x1 w2 and over (C2, G) for a 1x1 w1. When both are
+    wider, the windows overlap and each gradient is a weight adjoint of
+    correlating gout: dw1 against w2 with w1's groups, dw2 against w1 with
+    the channel roles swapped per group, gout regrouped to
+    (C0 / G, G * C2, ...) against w1 transposed to (C0 / G, C1, ...)."""
     g, cig = w1.groups, w1.in_channels_per_group
     c2, _, keh, kew = gout.shape
-    dw1 = _correlate_grad_w(gout, w2.data, w1.kh, w1.kw, g)
-    gout_t = gout.reshape(c2, g, cig, keh, kew).transpose(2, 1, 0, 3, 4).reshape(
-        cig, g * c2, keh, kew)
-    dw2 = _correlate_grad_w(gout_t, w1.data.transpose(1, 0, 2, 3), w2.kh, w2.kw, g)
-    return dw1, dw2.transpose(1, 0, 2, 3)
+    if w1.kh * w1.kw > 1 and w2.kh * w2.kw > 1:
+        dw1 = _correlate_grad_w(gout, w2.data, w1.kh, w1.kw, g)
+        gout_t = gout.reshape(c2, g, cig, keh, kew).transpose(2, 1, 0, 3, 4).reshape(
+            cig, g * c2, keh, kew)
+        dw2 = _correlate_grad_w(gout_t, w1.data.transpose(1, 0, 2, 3), w2.kh, w2.kw, g)
+        return dw1, dw2.transpose(1, 0, 2, 3)
+    cog, k2 = w1.out_channels // g, w2.kh * w2.kw
+    # win[o, g, (p, i, j), (a, b)] = gout[o, g * cig + p, i + a, j + b]
+    win = gout.reshape(c2, g, -1, k2)
+    w1_rows = w1.data.reshape(g, cog, -1)
+    # dw1[g, c, (p, i, j)] = sum_{o, (a, b)} w2[o, g, c, (a, b)] * win[o, g, (p, i, j), (a, b)]
+    # dw2[o, g, c, (a, b)] = sum_{(p, i, j)} w1[g, c, (p, i, j)] * win[o, g, (p, i, j), (a, b)]
+    dw1 = np.matmul(w2.data.reshape(c2, g, cog, k2).transpose(1, 2, 0, 3).reshape(g, cog, -1),
+                    win.transpose(1, 0, 3, 2).reshape(g, c2 * k2, -1))
+    if k2 == 1:
+        dw2 = np.empty((c2, g, cog), dtype=np.result_type(w1.data, gout))
+        np.matmul(w1_rows, win[..., 0].transpose(1, 2, 0), out=dw2.transpose(1, 2, 0))
+    else:
+        dw2 = np.matmul(w1_rows, win)
+    return dw1.reshape(w1.shape), dw2.reshape(w2.shape)
 
 
 def _dense_grad_to_native(grad, kernel):

@@ -4,6 +4,13 @@ Sequential layers merge by inter-weight convolution: the composed kernel
 has extent K1 + K2 - 1 and tap (m, n) sums w2[.., a, b] * w1[.., m-a, n-b]
 over the second kernel's taps. The first kernel of a branch is merged in
 its native grouped layout; every later one is expanded to dense first.
+When either kernel is 1x1 (DBB's 1x1-kxk sequences, a 1x1 conv before a
+pooling or filter layer, a depthwise kernel before a pointwise one), every
+merged tap takes exactly one tap of each, so the merge is one batched GEMM
+over all taps of the wider kernel, written straight into the merged
+kernel, and dynamics._merge_backward takes each gradient in one batched
+GEMM as well. Only two kernels both wider than 1x1 (stacked kxk stems)
+keep a loop over the second kernel's taps, and their adjoint correlates.
 Parallel branches merge by center-aligned zero embedding and tap-wise
 summation, which requires odd extents. The squeeze trace and cost_report
 model the dense algebra (every grouped layer expanded, then merged),
@@ -157,9 +164,13 @@ def merge_sequential(w1, w2):
     """Compose two stacked kernels into one dense kernel (w1 applied first).
 
     w1 may be grouped and stays in its native (C1, C0 / G, k, k) layout:
-    each w2 tap is one batched GEMM over w1's G groups, scattered into the
-    input channels of its group, so no block-diagonal copy of w1 is made
-    (with G = 1 it is one plain GEMM per tap). w2 must be dense.
+    every product is batched over w1's G groups and lands in the input
+    channels of its group, so no block-diagonal copy of w1 is made. w2
+    must be dense. When either kernel is 1x1, every merged tap takes
+    exactly one pair of taps, so all taps are contracted at once: one
+    batched GEMM written straight into the merged kernel, over G for a
+    1x1 w2 and over (C2, G) for a 1x1 w1. Only when both are wider do taps
+    overlap; then each w2 tap is one batched GEMM added into its window.
     """
     if w2.groups != 1:
         raise MergeError("sequential merge needs a dense second kernel; expand its groups first")
@@ -167,17 +178,25 @@ def merge_sequential(w1, w2):
         raise MergeError(f"channel chain mismatch: w1 out {w1.out_channels}, "
                          f"w2 in {w2.in_channels}")
     c1, cig, k1h, k1w = w1.shape
-    g, c2 = w1.groups, w2.out_channels
+    g, c2, cog = w1.groups, w2.out_channels, c1 // w1.groups
     keh, kew = k1h + w2.kh - 1, k1w + w2.kw - 1
     out = np.zeros((c2, w1.in_channels, keh, kew), dtype=w1.data.dtype)
-    # scatter form: no padded or transposed copy of w1 (see orepa.tensor)
-    out_g = out.reshape(c2, g, cig, keh, kew).transpose(1, 0, 2, 3, 4)
-    w1_rows = w1.data.reshape(g, c1 // g, -1)
-    for a in range(w2.kh):
-        for b in range(w2.kw):
-            w2_tap = w2.data[:, :, a, b].reshape(c2, g, c1 // g).transpose(1, 0, 2)
-            out_g[..., a:a + k1h, b:b + k1w] += (w2_tap @ w1_rows).reshape(
-                g, c2, cig, k1h, k1w)
+    w1_rows = w1.data.reshape(g, cog, -1)
+    w2_taps = w2.data.reshape(c2, g, cog, -1)
+    if w2.kh == w2.kw == 1:
+        # out[o, g, (p, i, j)] = sum_c w2[o, g, c] * w1[g, c, (p, i, j)]
+        np.matmul(w2_taps[..., 0].transpose(1, 0, 2), w1_rows,
+                  out=out.reshape(c2, g, -1).transpose(1, 0, 2))
+    elif k1h == k1w == 1:
+        # out[o, g, p, (a, b)] = sum_c w1[g, c, p] * w2[o, g, c, (a, b)]
+        np.matmul(w1_rows.transpose(0, 2, 1), w2_taps, out=out.reshape(c2, g, cig, -1))
+    else:
+        out_g = out.reshape(c2, g, cig, keh, kew).transpose(1, 0, 2, 3, 4)
+        for a in range(w2.kh):
+            for b in range(w2.kw):
+                w2_tap = w2_taps[..., a * w2.kw + b].transpose(1, 0, 2)
+                out_g[..., a:a + k1h, b:b + k1w] += (w2_tap @ w1_rows).reshape(
+                    g, c2, cig, k1h, k1w)
     return KernelTensor(out, groups=1)
 
 

@@ -5,18 +5,26 @@ convention. With symmetric "same" padding the output pixel at (h, w) reads
 the input window centered at (h, w), i.e. taps are offset by
 k - floor((K - 1) / 2) along each spatial axis.
 
-Two private tap-loop kernels carry every convolution-shaped product:
+Two private tap-loop kernels carry every convolution over feature maps:
 _correlate, a VALID strided grouped cross-correlation, and its weight
 adjoint _correlate_grad_w. conv2d_direct pads x and correlates. In
 dynamics, _conv_grad_w pads x alike and takes the weight adjoint against
 the output gradient; _conv_grad_x pads the output gradient by K - 1 and
 correlates it with the kernel flipped in space, in/out channels swapped
-per group; _merge_backward takes two weight adjoints of the merged
-kernel's gradient: against w2 with w1's groups, which gives dw1 in w1's
-native grouped shape, and against w1 with the channel roles swapped per
-group. squeeze.merge_sequential, the transpose of that, keeps its own tap
-loop, one batched GEMM per w2 tap over w1's groups: through _correlate it
-would need a padded, transposed copy of w1 in dense form.
+per group.
+
+A sequential merge of two kernels in which either one is 1x1 pairs every
+merged tap with exactly one tap of each, so neither the merge nor its
+adjoint loops over taps: squeeze.merge_sequential contracts all taps of
+the wider kernel in one batched GEMM written straight into the merged
+kernel, and dynamics._merge_backward takes each gradient in one batched
+GEMM. Only when both kernels are wider than 1x1 do taps overlap. Then
+_merge_backward takes two weight adjoints of the merged kernel's
+gradient, against w2 with w1's groups (dw1 in w1's native grouped shape)
+and against w1 with the channel roles swapped per group, and
+merge_sequential keeps its own loop, one batched GEMM per w2 tap over
+w1's groups: through _correlate it would need a padded, transposed copy
+of w1 in dense form.
 """
 
 from __future__ import annotations

@@ -78,6 +78,33 @@ def merge_kernels_loop(w1, w2):
     return out
 
 
+def merge_backward_loop(w1, w2, gout, groups=1):
+    """Both weight gradients of <gout, merge(w1, w2)> by literal summation.
+
+    w1: (C1, C0 // groups, K1h, K1w) grouped, w2: (C2, C1, K2h, K2w) dense,
+    gout: (C2, C0, K1h + K2h - 1, K1w + K2w - 1). Merged tap (i + a, j + b)
+    of input channel g * C0 // groups + p holds w2[q, c, a, b] * w1[c, p, i, j]
+    for every c of group g, so each gradient sums gout over the other factor.
+    """
+    c1, cig, k1h, k1w = w1.shape
+    c2, _, k2h, k2w = w2.shape
+    cog = c1 // groups
+    dw1 = np.zeros(w1.shape)
+    dw2 = np.zeros(w2.shape)
+    for c in range(c1):
+        g = c // cog
+        for p in range(cig):
+            for i in range(k1h):
+                for j in range(k1w):
+                    for q in range(c2):
+                        for a in range(k2h):
+                            for d in range(k2w):
+                                gv = gout[q, g * cig + p, i + a, j + d]
+                                dw1[c, p, i, j] += gv * w2[q, c, a, d]
+                                dw2[q, c, a, d] += gv * w1[c, p, i, j]
+    return dw1, dw2
+
+
 def freq_filter_loop(channels, kh, kw):
     """Cosine-basis depthwise taps evaluated straight from the closed form."""
     import math

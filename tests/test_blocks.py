@@ -72,6 +72,13 @@ def test_dw_expansion_defaults():
     assert vgg.branches[5].layers[0].expansion == 8
 
 
+@pytest.mark.parametrize("expansion", [0, -1])
+def test_non_positive_expansion_is_named(expansion):
+    # only None selects the preset default; 0 must not fall back to it
+    with pytest.raises(ValueError, match="'expansion'"):
+        build_preset("orepavgg", 4, 4, 3, seed=0, expansion=expansion)
+
+
 def test_preset_invalid_k():
     with pytest.raises(ShapeError):
         build_preset("orepa3x3", 2, 2, 4)

@@ -147,6 +147,9 @@ def _malformed_argv(tmp_path, case):
     if case in BAD_FLAGS:
         command, *flags = BAD_FLAGS[case]
         return [command, spec, *flags]
+    if case in UNALIGNABLE_SPEC:
+        (tmp_path / "even.json").write_text(json.dumps(EVEN_BRANCH_SPEC))
+        return UNALIGNABLE_SPEC[case](tmp_path / "even.json", tmp_path)
     assert case == "unwritable_report"
     return ["squeeze", spec, "--out", tmp_path / "k.okt", "--json", tmp_path / "no" / "r.json"]
 
@@ -182,11 +185,19 @@ BAD_FLAGS = {
     "gradcheck_zero_hw": ["gradcheck", "--hw", 4, 0],
 }
 
+# a schema-valid spec whose two branches cannot be center-aligned (extents 2 and 3)
+EVEN_BRANCH_SPEC = {"in_ch": 2, "out_ch": 2, "k": 3, "seed": 0,
+                    "branches": [[{"kind": "conv", "k": 2}], [{"kind": "conv", "k": 3}]]}
+UNALIGNABLE_SPEC = {
+    "even_branch_squeeze": lambda spec, tmp: ["squeeze", spec, "--out", tmp / "k.okt"],
+    "even_branch_verify": lambda spec, tmp: ["verify", spec, "--trials", 1],
+}
+
 
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
                                   "checkpoint_without_weights", "checkpoint_wrong_shape",
                                   *TRUNCATED_CHECKPOINT, *UNFIT_KERNEL, *BAD_FLAGS,
-                                  "unwritable_report"])
+                                  *UNALIGNABLE_SPEC, "unwritable_report"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     rc = run(_malformed_argv(tmp_path, case))
     err = capsys.readouterr().err

@@ -18,6 +18,7 @@ from orepa.squeeze import (BlockGraph, MergeError, build_branch, merge_sequentia
                            squeeze_block)
 from orepa.tensor import ConvGeometry, KernelTensor, Tensor, conv2d_direct
 
+from oracles import merge_backward_loop, merge_kernels_loop
 from util import block_graphs, fd_grads_via_expanded, make_random_block, rand_input
 
 
@@ -199,6 +200,41 @@ def test_merge_adjoint_dot_product_identity(k1, k2):
         dense_dw1, dense_dw2 = _merge_backward(L.as_dense(w1), w2, gout)
         np.testing.assert_allclose(dw1, _dense_grad_to_native(dense_dw1, w1), rtol=1e-12)
         np.testing.assert_allclose(dw2, dense_dw2, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups=st.integers(1, 4), cig=st.integers(1, 3), cog=st.integers(1, 3),
+       c2=st.integers(1, 3), k1=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       k2=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       one_by_one=st.sampled_from(["w1", "w2", "neither"]), seed=st.integers(0, 2 ** 16))
+def test_merge_backward_matches_loop_oracle(groups, cig, cog, c2, k1, k2, one_by_one, seed):
+    # "w1" and "w2" force that side to 1x1 (one GEMM over all taps); "neither"
+    # keeps the drawn extents, which mostly take the tap-loop path
+    k1 = (1, 1) if one_by_one == "w1" else k1
+    k2 = (1, 1) if one_by_one == "w2" else k2
+    rng = np.random.default_rng(seed)
+    w1 = KernelTensor(rng.uniform(-1, 1, size=(groups * cog, cig) + k1), groups=groups)
+    w2 = KernelTensor(rng.uniform(-1, 1, size=(c2, groups * cog) + k2))
+    merged = merge_sequential(w1, w2).data
+    np.testing.assert_allclose(merged, merge_kernels_loop(L.as_dense(w1).data, w2.data),
+                               rtol=1e-12, atol=1e-14)
+    gout = rng.uniform(-1, 1, size=merged.shape)
+    want1, want2 = merge_backward_loop(w1.data, w2.data, gout, groups)
+    # <gout, merge(w1, w2)> = <dw1, w1> = <dw2, w2>, relative to the size of
+    # the summed terms so that a cancelling sum cannot fail it
+    scale = np.vdot(np.abs(gout), np.abs(merged))
+    for dtype, rtol in (("f64", 1e-12), ("f32", 1e-5)):
+        a, b = w1.astype(dtype), w2.astype(dtype)
+        g32 = gout.astype(a.data.dtype)
+        dw1, dw2 = _merge_backward(a, b, g32)
+        assert (dw1.shape, dw2.shape) == (w1.shape, w2.shape)
+        assert dw1.dtype == dw2.dtype == a.data.dtype
+        np.testing.assert_allclose(dw1, want1, rtol=rtol, atol=rtol * np.abs(want1).max())
+        np.testing.assert_allclose(dw2, want2, rtol=rtol, atol=rtol * np.abs(want2).max())
+        lhs = np.vdot(g32.astype(np.float64), merge_sequential(a, b).data.astype(np.float64))
+        for dw, w in ((dw1, a), (dw2, b)):
+            got = np.vdot(dw.astype(np.float64), w.data.astype(np.float64))
+            assert abs(got - lhs) <= rtol * scale
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,21 @@ def test_grouped_merge_property(groups, cig, cog, c2, k1, k2, seed):
     np.testing.assert_allclose(merge_sequential(w1, w2).data,
                                merge_sequential(L.as_dense(w1), w2).data,
                                rtol=1e-12, atol=1e-14)
+
+
+def test_merge_of_1x1_then_3x3_allocates_only_the_merged_kernel():
+    # all taps contract in one GEMM written into the merged kernel: no
+    # per-tap product and no (C2 * 9, C0) product scattered afterwards
+    rng = np.random.default_rng(3)
+    w1 = KernelTensor(rng.standard_normal((128, 128, 1, 1)))
+    w2 = KernelTensor(rng.standard_normal((128, 128, 3, 3)))
+    tracemalloc.start()
+    try:
+        merged = merge_sequential(w1, w2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * merged.data.nbytes
 
 
 def test_parallel_zero_identity_and_commutativity():
