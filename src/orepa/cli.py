@@ -1,11 +1,14 @@
 """Command-line surface: squeeze, verify, gradcheck, dynamics, bench,
 train-toy, analyze.
 
-Exit codes: 0 pass, 1 invariant violation, 2 usage, spec, checkpoint,
-kernel-file (including a kernel that does not fit the spec) or file-system
-error, 3 internal merge/shape error. Reports are deterministic for a given
-(spec, seed, flags); no timestamps are emitted, and a NaN or infinite
-number is written as null.
+Each command prints its table and returns (spec doc, report body, verdict);
+main alone writes the report and picks the exit code. Exit codes: 0 pass,
+1 invariant violation, 2 usage, spec, checkpoint, kernel-file (including a
+kernel that does not fit the spec), file-system error or an input too large
+to allocate, 3 internal error (a merge/shape error, or any other exception
+with its traceback). Reports are deterministic for a given (spec, seed,
+flags); no timestamps are emitted, and a NaN or infinite number is written
+as null.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import argparse
 import json
 import math
 import sys
+import traceback
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,16 +58,14 @@ def _check_flags(args):
         raise UsageError("--tol must be finite and >= 0")
 
 
-def _report(doc, body):
-    out = {"tool_version": __version__, "seed": doc["seed"],
-           "dtype": doc.get("dtype", "f64")}
-    out.update(body)
-    return out
-
-
 def _finite_or_null(v):
-    """The report with every NaN or infinite float replaced by None, so
-    that it serializes as strict JSON (null)."""
+    """The report as plain Python with numpy arrays and scalars converted
+    and every NaN or infinite float replaced by None, so that it
+    serializes as strict JSON (null)."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, float) and not math.isfinite(v):
         return None
     if isinstance(v, dict):
@@ -70,13 +73,6 @@ def _finite_or_null(v):
     if isinstance(v, (list, tuple)):
         return [_finite_or_null(x) for x in v]
     return v
-
-
-def _emit(report, json_path):
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(_finite_or_null(report), fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
 
 
 def _print_table(rows):
@@ -94,15 +90,12 @@ def cmd_squeeze(args):
         fh.write(result.trace_json_lines() + "\n")
     keh, kew = result.effective_k
     print(f"effective kernel {keh}x{kew}")
-    report = _report(doc, {
-        "command": "squeeze",
+    return doc, {
         "effective_k": [keh, kew],
         "kernel_shape": list(result.kernel.shape),
         "out": args.out,
         "trace_steps": len(result.trace),
-    })
-    _emit(report, args.json)
-    return EXIT_OK
+    }, True
 
 
 def cmd_verify(args):
@@ -128,12 +121,7 @@ def cmd_verify(args):
     worst = float(np.max(residuals))  # NaN propagates and then fails `<= tol`
     ok = worst <= tol
     print(f"max residual {worst:.3e} over {args.trials} trials (tol {tol:.1e})")
-    report = _report(doc, {
-        "command": "verify", "trials": args.trials, "tol": tol,
-        "max_residual": worst, "pass": ok,
-    })
-    _emit(report, args.json)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return doc, {"trials": args.trials, "tol": tol, "max_residual": worst, "pass": ok}, ok
 
 
 def cmd_gradcheck(args):
@@ -152,9 +140,7 @@ def cmd_gradcheck(args):
                   ("route diff (squeezed vs expanded)", f"{res['route_diff']:.3e}"),
                   ("finite-difference rel err", f"{res['fd_rel_err']:.3e}"),
                   ("ok", res["ok"])])
-    report = _report(doc, {"command": "gradcheck", **res})
-    _emit(report, args.json)
-    return EXIT_OK if res["ok"] else EXIT_VIOLATION
+    return doc, res, res["ok"]
 
 
 def cmd_dynamics(args):
@@ -186,9 +172,7 @@ def cmd_dynamics(args):
     if rep.residual_ratio is not None:
         rows.append(("residual_ratio (eta vs eta/2)", f"{rep.residual_ratio:.3f}"))
     _print_table(rows)
-    report = _report(doc, {"command": "dynamics", **rep.to_dict(), "pass": ok})
-    _emit(report, args.json)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return doc, {**asdict(rep), "pass": ok}, ok
 
 
 def cmd_bench(args):
@@ -205,11 +189,8 @@ def cmd_bench(args):
         ("online mults", on["mults"]),
         ("mult ratio online/offline", f"{mult_ratio:.4f}"),
     ])
-    report = _report(doc, {"command": "bench", "hw": list(args.hw),
-                           "batch": args.batch, **costs,
-                           "buffer_ratio": buf_ratio, "mult_ratio": mult_ratio})
-    _emit(report, args.json)
-    return EXIT_OK
+    return doc, {"hw": list(args.hw), "batch": args.batch, **costs,
+                 "buffer_ratio": buf_ratio, "mult_ratio": mult_ratio}, True
 
 
 def cmd_train_toy(args):
@@ -227,23 +208,18 @@ def cmd_train_toy(args):
                     seed=doc["seed"], batch=args.batch, hw=tuple(args.hw))
     if res["diverged_at"] is not None:
         print(f"diverged at step {res['diverged_at']}")
-        report = _report(doc, {"command": "train_toy", "mode": args.mode,
-                               "diverged_at": res["diverged_at"]})
-        _emit(report, args.json)
-        return EXIT_VIOLATION
+        return doc, {"mode": args.mode, "diverged_at": res["diverged_at"]}, False
     _print_table([("steps", args.steps), ("mode", args.mode),
                   ("first loss", f"{res['losses'][0]:.6e}"),
                   ("final loss", f"{res['final_loss']:.6e}")])
     if args.save:
         save_checkpoint(args.save, doc, block)
-    report = _report(doc, {
-        "command": "train_toy", "mode": args.mode, "steps": args.steps,
+    return doc, {
+        "mode": args.mode, "steps": args.steps,
         "eta": args.eta, "first_loss": res["losses"][0],
         "final_loss": res["final_loss"], "loss_curve": res["losses"],
         "diverged_at": None,
-    })
-    _emit(report, args.json)
-    return EXIT_OK
+    }, True
 
 
 def _write_csv(path, header, rows):
@@ -265,12 +241,9 @@ def cmd_analyze(args):
     off_diag = [abs(sim[i, j]) for i in range(len(names)) for j in range(len(names)) if i != j]
     mean_off = float(np.mean(off_diag)) if off_diag else 0.0
     print(f"mean off-diagonal |cosine| {mean_off:.4f}")
-    report = _report(doc, {"command": "analyze",
-                           "mean_offdiag_abs_cos": mean_off,
-                           "similarity_csv": args.similarity_csv,
-                           "norms_csv": args.norms_csv})
-    _emit(report, args.json)
-    return EXIT_OK
+    return doc, {"mean_offdiag_abs_cos": mean_off,
+                 "similarity_csv": args.similarity_csv,
+                 "norms_csv": args.norms_csv}, True
 
 
 def build_parser():
@@ -339,25 +312,34 @@ def build_parser():
     return p
 
 
+# (exception, stderr prefix, exit code), first match wins; any other
+# exception exits EXIT_INTERNAL with its traceback
+FAILURES = ((UsageError, "error", EXIT_USAGE), (SpecError, "spec error", EXIT_USAGE),
+            (FormatError, "kernel file error", EXIT_USAGE), (OSError, "error", EXIT_USAGE),
+            (MemoryError, "out of memory", EXIT_USAGE),
+            ((MergeError, ShapeError), "merge/shape error", EXIT_INTERNAL))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     try:
         _check_flags(args)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FormatError as exc:
-        print(f"kernel file error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MergeError, ShapeError) as exc:
-        print(f"merge/shape error: {exc}", file=sys.stderr)
+        doc, body, verdict = args.func(args)
+        if args.json:
+            report = {"tool_version": __version__, "seed": doc["seed"],
+                      "dtype": doc.get("dtype", "f64"),
+                      "command": args.command.replace("-", "_"), **body}
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(_finite_or_null(report), fh, sort_keys=True, indent=2,
+                          allow_nan=False)
+                fh.write("\n")
+        return EXIT_OK if verdict else EXIT_VIOLATION
+    except Exception as exc:
+        for kind, prefix, code in FAILURES:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -150,6 +150,11 @@ def _malformed_argv(tmp_path, case):
     if case in UNALIGNABLE_SPEC:
         (tmp_path / "even.json").write_text(json.dumps(EVEN_BRANCH_SPEC))
         return UNALIGNABLE_SPEC[case](tmp_path / "even.json", tmp_path)
+    if case == "unallocatable_weights":
+        (tmp_path / "huge.json").write_text(json.dumps(HUGE_SPEC))
+        return ["verify", tmp_path / "huge.json", "--trials", 1]
+    if case == "unallocatable_input":
+        return ["verify", DATA / "single_conv.json", "--trials", 1, "--hw", 4000000, 4000000]
     assert case == "unwritable_report"
     return ["squeeze", spec, "--out", tmp_path / "k.okt", "--json", tmp_path / "no" / "r.json"]
 
@@ -194,16 +199,34 @@ UNALIGNABLE_SPEC = {
 }
 
 
+# inputs whose first large array needs far more than 2^47 bytes (728 and 466 TiB),
+# so that allocating it fails at once whatever the overcommit policy
+HUGE_SPEC = {"in_ch": 10000000, "out_ch": 10000000, "k": 1, "seed": 0, "preset": "orepa1x1"}
+
+
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
                                   "checkpoint_without_weights", "checkpoint_wrong_shape",
                                   *TRUNCATED_CHECKPOINT, *UNFIT_KERNEL, *BAD_FLAGS,
-                                  *UNALIGNABLE_SPEC, "unwritable_report"])
+                                  *UNALIGNABLE_SPEC, "unwritable_report",
+                                  "unallocatable_weights", "unallocatable_input"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     rc = run(_malformed_argv(tmp_path, case))
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_unexpected_exception_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
+    def broken(block):
+        raise RuntimeError("broken squeeze")
+
+    monkeypatch.setattr("orepa.cli.squeeze_block", broken)
+    rc = run(["squeeze", DATA / "deepstem.json", "--out", tmp_path / "k.okt"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" in err
+    assert "RuntimeError: broken squeeze" in err
 
 
 def test_verify_composed_after_squeeze_always_passes(tmp_path):

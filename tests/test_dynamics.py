@@ -7,6 +7,7 @@ from orepa import layers as L
 from orepa.blocks import build_preset
 from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _conv_grad_w,
                             _conv_grad_x, _dense_grad_to_native, _merge_backward,
+                            _relative_gap,
                             backward_through_expanded, backward_through_squeeze,
                             branch_similarity, channel_norm_profile,
                             finite_difference_grads, gradcheck_block,
@@ -139,6 +140,25 @@ def test_gradcheck_block_on_preset():
     g = Tensor(rng.standard_normal((1, 3, 4, 4)))
     res = gradcheck_block(block, x, g)
     assert res["ok"], res
+
+
+def test_gradcheck_block_passes_a_wide_f32_block():
+    # upstream x1000 stands in for a wide block: gradients near 2e4, so the f32
+    # routes differ by 5e-3 in absolute terms but by 1e-5 relative to |g|
+    block = build_preset("deepstem", 3, 4, 3, dtype="f32", seed=3)
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((1, 3, 4, 4)), dtype="f32")
+    g = Tensor(1e3 * rng.standard_normal((1, 4, 4, 4)), dtype="f32")
+    gap = np.abs(backward_through_squeeze(block, x, g) - backward_through_expanded(block, x, g))
+    assert gap.max() > 1e-3
+    res = gradcheck_block(block, x, g)
+    assert res["ok"] and res["route_diff"] <= 1e-4, res
+
+
+def test_relative_gap_of_an_infinite_gradient_is_nan():
+    assert np.isnan(_relative_gap(np.array([np.inf, 1.0]), np.array([1.0, 1.0])))
+    assert np.isnan(_relative_gap(np.array([np.inf]), np.array([np.inf])))
+    assert _relative_gap(np.zeros(0), np.zeros(0)) == 0.0
 
 
 def test_src_fd_agrees_with_test_fd():
