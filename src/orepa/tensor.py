@@ -8,6 +8,18 @@ k - floor((K - 1) / 2) along each spatial axis.
 Two private tap-loop kernels carry every convolution over feature maps:
 _correlate, a VALID strided grouped cross-correlation, and its weight
 adjoint _correlate_grad_w. conv2d_direct pads x and correlates.
+
+A channel-wise correlation (one input and one output channel per group:
+average pooling as a conv, the frequency filter, a depthwise layer and
+their flipped input adjoints) does one multiply and one add per tap and
+element, so it is bound by memory traffic, not arithmetic. Once its
+full-width accumulator outgrows _CACHE_BUDGET bytes, streaming the whole
+map through a product buffer and back for every tap costs more than the
+products, so such maps run in blocks of channels whose buffers together fit
+the budget, and stay in cache across the taps. The buffers are allocated per
+call; none outlives one. Every output element still adds the same
+products in the same tap order, so the forward keeps its bits; the weight
+adjoint's blocked path sums in another order.
 """
 
 from __future__ import annotations
@@ -17,6 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
+
+# bytes of working buffers per block of a blocked channel-wise correlation:
+# half of a 2 MiB per-core L2, so the input rows a tap reads fit beside them
+_CACHE_BUDGET = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -207,7 +223,8 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
     flattened over (row, column), tap (i, j) is a shift by i*W + j, so each
     tap multiplies a view of x into rows as wide as the input, of which the
     VALID columns are summed. A stride splits x and w into phases, each a
-    stride-1 correlation.
+    stride-1 correlation. A channel-wise phase larger than _CACHE_BUDGET
+    runs in channel blocks instead (_correlate_channelwise).
     """
     b, _, hgt, wid = x.shape
     co, cig, kh, kw = w.shape
@@ -216,10 +233,14 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
     if (s_h, s_w) != (1, 1):
         return sum(_correlate(x[..., p::s_h, q::s_w], w[..., p::s_h, q::s_w], groups)[..., :ho, :wo]
                    for p in range(min(s_h, kh)) for q in range(min(s_w, kw)))
+    dt = np.result_type(x, w)
+    blocks = _channel_blocks(x.shape, ho, cig, co // groups, dt)
+    if blocks:
+        return _correlate_channelwise(x, w, ho, wo, blocks, dt)
     xf = x.reshape(b, groups, cig, -1)
     n = ho * wid - (kw - 1)
     wg = w.reshape(groups, co // groups, cig, kh, kw)
-    tap = np.empty((b,) + wg.shape[:2] + (ho, wid), dtype=np.result_type(x, w))
+    tap = np.empty((b,) + wg.shape[:2] + (ho, wid), dtype=dt)
     out = tap.reshape(tap.shape[:3] + (-1,))[..., :n]
     y = np.zeros(tap.shape[:-1] + (wo,), dtype=tap.dtype)
     for i in range(kh):
@@ -234,20 +255,89 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
 def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1)):
     """Weight adjoint of _correlate, d<g, _correlate(x, w, groups, stride)> / dw
     of shape (Co, C // groups, kh, kw): one GEMM per kernel tap and group,
-    contracting batch and space against a strided slice of x."""
+    contracting batch and space against a strided slice of x. A stride-1
+    channel-wise one larger than _CACHE_BUDGET runs in channel blocks
+    (_correlate_channelwise_grad_w)."""
     b, c, hgt, wid = x.shape
     co, ho, wo = g.shape[1:]
     cig, cog = c // groups, co // groups
     s_h, s_w = stride
+    dt = np.result_type(x, g)
+    blocks = _channel_blocks(x.shape, ho, cig, cog, dt) if (s_h, s_w) == (1, 1) else None
+    if blocks:
+        return _correlate_channelwise_grad_w(x, g, kh, kw, blocks, dt)
     gg = g.reshape(b, groups, cog, -1).transpose(1, 2, 0, 3).reshape(groups, cog, -1)
     xg = x.reshape(b, groups, cig, hgt, wid).transpose(1, 2, 0, 3, 4)
-    dw = np.empty((groups, cog, cig, kh, kw), dtype=np.result_type(x, g))
+    dw = np.empty((groups, cog, cig, kh, kw), dtype=dt)
     xs = np.empty((groups, cig, b, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             np.copyto(xs, xg[..., i:i + s_h * (ho - 1) + 1:s_h, j:j + s_w * (wo - 1) + 1:s_w])
             dw[..., i, j] = gg @ xs.reshape(groups, cig, -1).swapaxes(-1, -2)
     return dw.reshape(co, cig, kh, kw)
+
+
+def _channel_blocks(x_shape, ho, cig, cog, dt):
+    """Blocks (batch index, first channel, end channel) for a stride-1
+    correlation of x_shape that is channel-wise (cig == cog == 1) and whose
+    (B, C, ho, W) accumulator, which holds whole input rows, is larger than
+    _CACHE_BUDGET; None otherwise. The blocks have near-equal channel counts,
+    each small enough that two (channels, ho * W) buffers fit the budget."""
+    b, c, _, wid = x_shape
+    if (cig, cog) != (1, 1) or b * c * ho * wid * dt.itemsize <= _CACHE_BUDGET:
+        return None
+    fit = max(1, _CACHE_BUDGET // (2 * ho * wid * dt.itemsize))
+    step = -(-c // -(-c // fit))
+    return [(i, c0, min(c0 + step, c)) for i in range(b) for c0 in range(0, c, step)]
+
+
+def _correlate_channelwise(x, w, ho, wo, blocks, dt):
+    """_correlate, stride 1, for w of shape (C, 1, kh, kw) with C groups.
+
+    Per block, each tap multiplies one shifted flat view of x into the
+    product buffer and adds it to the full-width accumulator, which starts
+    at zero and is cropped into y after the last tap."""
+    b, c, _, wid = x.shape
+    kh, kw = w.shape[2:]
+    n = ho * wid - (kw - 1)
+    xf = x.reshape(b, c, -1)
+    wf = w.reshape(c, kh * kw)
+    rows = blocks[0][2] - blocks[0][1]
+    acc = np.empty((rows, ho * wid), dtype=dt)
+    prod = np.empty((rows, n), dtype=dt)
+    y = np.empty((b, c, ho, wo), dtype=dt)
+    for i, c0, c1 in blocks:
+        a, p = acc[:c1 - c0], prod[:c1 - c0]
+        a.fill(0)
+        for t in range(kh * kw):
+            off = t // kw * wid + t % kw
+            np.multiply(wf[c0:c1, t, None], xf[i, c0:c1, off:off + n], out=p)
+            np.add(a[:, :n], p, out=a[:, :n])
+        y[i, c0:c1] = a.reshape(-1, ho, wid)[..., :wo]
+    return y
+
+
+def _correlate_channelwise_grad_w(x, g, kh, kw, blocks, dt):
+    """_correlate_grad_w, stride 1, for a channel-wise correlation.
+
+    Each block of g is zero-filled to x's row width once, so a tap's
+    gradient is one (1, n) @ (n, 1) product per channel of the flat block
+    with a shifted flat view of x, copying neither; the columns past g's
+    width add zeros."""
+    b, c, _, wid = x.shape
+    ho, wo = g.shape[2:]
+    n = ho * wid - (kw - 1)
+    xf = x.reshape(b, c, -1)
+    gz = np.zeros((blocks[0][2] - blocks[0][1], ho, wid), dtype=g.dtype)
+    dw = np.empty((b, c, kh * kw), dtype=dt)
+    for i, c0, c1 in blocks:
+        gz[:c1 - c0, :, :wo] = g[i, c0:c1]
+        gf = gz[:c1 - c0].reshape(c1 - c0, -1)[:, :n]
+        for t in range(kh * kw):
+            off = t // kw * wid + t % kw
+            np.matmul(gf[:, None], xf[i, c0:c1, off:off + n, None],
+                      out=dw[i, c0:c1, t, None, None])
+    return dw.sum(axis=0).reshape(c, 1, kh, kw)
 
 
 def conv2d_direct(x, w, geom=None, bias=None):
@@ -297,13 +387,20 @@ def scale_by_channel(x, gamma):
 
 
 def sum_over(tensors):
-    """Sum a non-empty list of equal-shape tensors in list order."""
+    """Sum a non-empty list of equal-shape, equal-dtype tensors in list
+    order, into one new array."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("sum_over needs at least one tensor")
-    acc = tensors[0].data
+    first = tensors[0]
     for t in tensors[1:]:
-        if t.shape != tensors[0].shape:
-            raise ShapeError("shape", tensors[0].shape, t.shape)
-        acc = acc + t.data
+        if t.shape != first.shape:
+            raise ShapeError("shape", first.shape, t.shape)
+        if t.dtype != first.dtype:
+            raise ShapeError("dtype", first.dtype, t.dtype)
+    if len(tensors) == 1:
+        return first
+    acc = first.data + tensors[1].data
+    for t in tensors[2:]:
+        np.add(acc, t.data, out=acc)
     return Tensor(acc)

@@ -79,6 +79,17 @@ def test_verify_nan_kernel_fails(tmp_path, capsys):
     assert "max residual nan" in capsys.readouterr().out
 
 
+def test_verify_infinite_output_fails(tmp_path, capsys):
+    # the center tap never reads padding, so one output channel is +-inf
+    out = tmp_path / "k.okt"
+    run(["squeeze", DATA / "orepa3x3.json", "--out", out])
+    data = read_okt(out).data.copy()
+    data[0, 0, 1, 1] = np.inf
+    write_okt(out, KernelTensor(data))
+    assert run(["verify", DATA / "orepa3x3.json", "--kernel", out, "--trials", 2]) == 1
+    assert "max residual inf" in capsys.readouterr().out
+
+
 def test_verify_nan_kernel_json_report_is_strict_json(tmp_path):
     out = tmp_path / "k.okt"
     run(["squeeze", DATA / "orepa3x3.json", "--out", out])
@@ -302,6 +313,18 @@ def test_f32_presets_pass_verify_and_gradcheck_at_default_flags(tmp_path, preset
     spec = _f32_spec(tmp_path, preset, k)
     assert run(["verify", spec]) == 0
     assert run(["gradcheck", spec]) == 0
+
+
+def test_verify_tolerance_is_relative_to_a_wide_f32_output(tmp_path):
+    # the two routes round apart by 1.465e-3, above the absolute 1e-3, at a
+    # max |output| near 3e3
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"in_ch": 3, "out_ch": 512, "k": 3, "dtype": "f32",
+                                "seed": 42, "preset": "deepstem"}))
+    out = tmp_path / "rep.json"
+    assert run(["verify", spec, "--trials", 3, "--json", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["tol"] < report["max_residual"] < 1e3 * report["tol"]
 
 
 def test_f32_kernel_with_one_tap_off_by_1e2_fails_verify(tmp_path):

@@ -173,12 +173,15 @@ def test_src_fd_agrees_with_test_fd():
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("groups", [1, 2, 4, 61, 64])
 def test_conv_adjoints_dot_product_identity(groups, stride, k):
-    # <g, conv(x, w)> = <grad_x, x> = <grad_w, w>; grad_x covers stride 1 only
+    # <g, conv(x, w)> = <grad_x, x> = <grad_w, w>; grad_x covers stride 1 only.
+    # 61 and 64 groups are channel-wise maps at 58x58 whose stride-1 adjoints
+    # are larger than tensor._CACHE_BUDGET; 61 leaves a remainder block
     rng = np.random.default_rng(100 * groups + 10 * stride + k)
-    x = rng.standard_normal((2, 4, 7, 8))
-    w = KernelTensor(rng.standard_normal((8, 4 // groups, k, k + 1)), groups=groups)
+    c, co, hw = (4, 8, (7, 8)) if groups <= 4 else (groups, groups, (58, 58))
+    x = rng.standard_normal((2, c) + hw)
+    w = KernelTensor(rng.standard_normal((co, c // groups, k, k + 1)), groups=groups)
     geom = ConvGeometry(stride=(stride, stride))
     y = conv2d_direct(Tensor(x), w, geom).data
     g = rng.standard_normal(y.shape)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from orepa.tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, add,
-                          conv2d_direct, pad_spatial, same_padding,
+from orepa.dynamics import _conv_grad_w
+from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError, Tensor, add,
+                          _channel_blocks, conv2d_direct, pad_spatial, same_padding,
                           scale_by_channel, sum_over)
 
 from oracles import conv2d_loop
@@ -77,6 +80,66 @@ def test_depthwise_equals_per_channel_correlation():
             for j in range(w - k + 1):
                 want[i, j] = np.sum(kern[ch, 0] * x[ch, i:i + k, j:j + k])
         np.testing.assert_allclose(got[ch], want, rtol=1e-12, atol=1e-12)
+
+
+def _per_channel_correlation(x, w, stride=1):
+    """Channel-wise VALID correlation, one tap of one channel at a time, in
+    tap order from a zero accumulator."""
+    b, c, hgt, wid = x.shape
+    kh, kw = w.shape[2:]
+    ho, wo = (hgt - kh) // stride + 1, (wid - kw) // stride + 1
+    y = np.zeros((b, c, ho, wo), dtype=x.dtype)
+    for ch in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                y[:, ch] += w[ch, 0, i, j] * x[:, ch, i:i + stride * ho:stride,
+                                                 j:j + stride * wo:stride]
+    return y
+
+
+@pytest.mark.parametrize("k", [(3, 3), (5, 5), (2, 4)], ids=["3x3", "5x5", "2x4"])
+@pytest.mark.parametrize("shape,dtype", [((2, 64, 58, 58), "f64"), ((2, 61, 58, 58), "f64"),
+                                         ((2, 64, 58, 58), "f32")], ids=["64", "61", "64-f32"])
+def test_channelwise_conv_above_the_cache_budget_keeps_tap_order(shape, dtype, k):
+    # the blocked path adds the same products in the same order, so it is
+    # bit-equal to the plain per-channel loop; 61 channels leave a remainder block
+    rng = np.random.default_rng(sum(shape) + sum(k))
+    x = Tensor(rng.uniform(-1, 1, size=shape), dtype=dtype)
+    w = KernelTensor(rng.uniform(-1, 1, size=(shape[1], 1) + k), groups=shape[1], dtype=dtype)
+    ho = shape[2] - k[0] + 1
+    assert _channel_blocks(shape, ho, 1, 1, x.data.dtype) is not None
+    got = conv2d_direct(x, w).data
+    assert np.array_equal(got, _per_channel_correlation(x.data, w.data))
+
+
+def test_strided_channelwise_conv_with_phases_above_the_cache_budget():
+    rng = np.random.default_rng(29)
+    x = rng.uniform(-1, 1, size=(2, 64, 116, 116))
+    w = rng.uniform(-1, 1, size=(64, 1, 3, 3))
+    # the four stride phases correlate (2, 64, 58, 58) maps with 2x2 to 1x1 taps
+    assert _channel_blocks((2, 64, 58, 58), 57, 1, 1, x.dtype) is not None
+    got = conv2d_direct(Tensor(x), KernelTensor(w, groups=64), ConvGeometry(stride=(2, 2))).data
+    np.testing.assert_allclose(got, _per_channel_correlation(x, w, stride=2),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
+    # tracemalloc counts numpy's buffers exactly: a buffer the size of the
+    # whole map per tap would exceed either bound
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((2, 64, 58, 58)))
+    w = KernelTensor(rng.standard_normal((64, 1, 3, 3)), groups=64)
+    g = rng.standard_normal((2, 64, 56, 56))
+    peaks = []
+    for op in (lambda: conv2d_direct(x, w), lambda: _conv_grad_w(x, g, w, ConvGeometry())):
+        tracemalloc.start()
+        try:
+            op()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= g.nbytes + _CACHE_BUDGET
+    assert peaks[1] <= _CACHE_BUDGET
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -184,12 +247,25 @@ def test_elementwise_examples():
     np.testing.assert_allclose(sum_over([x] * m).data, m * x.data)
 
 
+def test_sum_over_adds_in_list_order_into_one_new_array():
+    rng = np.random.default_rng(37)
+    terms = [Tensor(rng.standard_normal((2, 3, 4, 5))) for _ in range(3)]
+    before = [t.data.copy() for t in terms]
+    got = sum_over(terms).data
+    assert got.tobytes() == ((before[0] + before[1]) + before[2]).tobytes()
+    for t, b in zip(terms, before):
+        assert t.data.tobytes() == b.tobytes()
+        assert not np.shares_memory(got, t.data)
+
+
 def test_elementwise_shape_errors():
     x = Tensor(np.zeros((2, 2, 2)))
     with pytest.raises(ShapeError):
         add(x, Tensor(np.zeros((2, 2, 3))))
     with pytest.raises(ShapeError):
         scale_by_channel(x, [1.0, 2.0, 3.0])
+    with pytest.raises(ShapeError):
+        sum_over([x, x.astype("f32")])
 
 
 def test_values_are_immutable():
