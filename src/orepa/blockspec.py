@@ -24,6 +24,11 @@ class SpecError(ValueError):
     """The spec file is malformed or fails schema validation."""
 
 
+def _refuse_constant(token):
+    """json's parse_constant hook: specs and checkpoints hold finite numbers only."""
+    raise SpecError(f"non-finite number {token}")
+
+
 def load_schema():
     with resources.files("orepa.schemas").joinpath("blockspec-1.json").open("rb") as fh:
         return json.load(fh)
@@ -111,8 +116,8 @@ def load_spec(path):
     """Read, validate and build; returns (document, BlockGraph)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_refuse_constant)
+    except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read spec {path}: {exc}") from exc
     return doc, block_from_spec(doc)
 
@@ -137,15 +142,15 @@ def save_checkpoint(path, doc, block):
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        json.dump(payload, fh, sort_keys=True, allow_nan=False)
 
 
 def load_checkpoint(path):
     """Rebuild a block from a checkpoint; returns (document, BlockGraph)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            payload = json.load(fh, parse_constant=_refuse_constant)
+    except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CKPT_FORMAT:
         raise SpecError(f"not a checkpoint: {path}")

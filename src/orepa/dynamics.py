@@ -21,7 +21,7 @@ import numpy as np
 from .squeeze import (_expanded_input, _fold, apply_branch_scaling,
                       block_forward_squeezed, merge_parallel, squeeze_block,
                       squeeze_branch)
-from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _centered,
+from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _batched, _centered,
                      _correlate, _correlate_grad_w, _pad_hw, conv2d_direct)
 
 
@@ -99,14 +99,9 @@ class ParamSet:
 # Convolution and merge adjoints
 # --------------------------------------------------------------------------
 
-def _batched_arr(x):
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    return arr[None] if arr.ndim == 3 else arr
-
-
 def _conv_grad_w(x, gout, kernel, geom):
     """d<gout, conv(x, kernel, geom)> / d kernel, native grouped shape."""
-    return _correlate_grad_w(_pad_hw(_batched_arr(x), geom.padding), _batched_arr(gout),
+    return _correlate_grad_w(_pad_hw(_batched(x)[0], geom.padding), _batched(gout)[0],
                              kernel.kh, kernel.kw, kernel.groups, geom.stride)
 
 
@@ -114,7 +109,7 @@ def _conv_grad_x(gout, kernel):
     """Input gradient of a VALID stride-1 convolution: the full correlation
     of gout with the flipped kernel, in- and out-channels swapped per group."""
     g, kh, kw = kernel.groups, kernel.kh, kernel.kw
-    gp = _pad_hw(_batched_arr(gout), (kh - 1, kh - 1, kw - 1, kw - 1))
+    gp = _pad_hw(_batched(gout)[0], (kh - 1, kh - 1, kw - 1, kw - 1))
     flipped = kernel.data[..., ::-1, ::-1].reshape(g, -1, kernel.in_channels_per_group, kh, kw)
     flipped = flipped.transpose(0, 2, 1, 3, 4).reshape(-1, kernel.out_channels // g, kh, kw)
     return _correlate(gp, flipped, g)
@@ -203,11 +198,11 @@ def backward_through_expanded(block, x, upstream):
     """Same gradients, chained through the expanded per-layer evaluation
     under expanded_forward's outer padding."""
     xp, out_hw = _expanded_input(block, x)
-    xp = _batched_arr(xp)
+    xp = _batched(xp)[0]
     ps = ParamSet(block)
     s_h, s_w = block.output_geometry.stride
     g_sum = np.zeros((xp.shape[0], block.out_ch) + out_hw)
-    g_sum[:, :, ::s_h, ::s_w] = _batched_arr(upstream)
+    g_sum[:, :, ::s_h, ::s_w] = _batched(upstream)[0]
 
     grad_map = {}
     valid = ConvGeometry()
@@ -231,7 +226,7 @@ def backward_through_expanded(block, x, upstream):
 def inner_loss(block, x, upstream):
     """L = <upstream, conv(x, W_e)> via the squeezed route."""
     y = block_forward_squeezed(block, x)
-    return float(np.sum(_batched_arr(upstream) * _batched_arr(y)))
+    return float(np.sum(_batched(upstream)[0] * _batched(y)[0]))
 
 
 def finite_difference_grads(block, x, upstream, eps=1e-6):

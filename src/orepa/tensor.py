@@ -9,17 +9,12 @@ Two private tap-loop kernels carry every convolution over feature maps:
 _correlate, a VALID strided grouped cross-correlation, and its weight
 adjoint _correlate_grad_w. conv2d_direct pads x and correlates.
 
-A channel-wise correlation (one input and one output channel per group:
-average pooling as a conv, the frequency filter, a depthwise layer and
-their flipped input adjoints) does one multiply and one add per tap and
-element, so it is bound by memory traffic, not arithmetic. Once its
-full-width accumulator outgrows _CACHE_BUDGET bytes, streaming the whole
-map through a product buffer and back for every tap costs more than the
-products, so such maps run in blocks of channels whose buffers together fit
-the budget, and stay in cache across the taps. The buffers are allocated per
-call; none outlives one. Every output element still adds the same
-products in the same tap order, so the forward keeps its bits; the weight
-adjoint's blocked path sums in another order.
+Both run in blocks of batch items or of groups (_blocks) whose working
+buffers fit _CACHE_BUDGET bytes, so a large map is not streamed through
+memory once per tap; a small map is one block. The buffers are allocated
+per call; none outlives one. Every output element of the forward adds the
+same products in the same tap order whatever the blocks, so it keeps its
+bits; the weight adjoint sums items and positions block by block.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import numpy as np
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
-# bytes of working buffers per block of a blocked channel-wise correlation:
+# bytes of working buffers per block of a correlation's tap loop:
 # half of a 2 MiB per-core L2, so the input rows a tap reads fit beside them
 _CACHE_BUDGET = 1 << 20
 
@@ -185,9 +180,9 @@ def same_padding(kh, kw, stride=(1, 1)):
 
 
 def _batched(x):
-    if x.rank == 3:
-        return x.data[None], True
-    return x.data, False
+    """x, a Tensor or an array, as a rank-4 array, and whether a batch axis was added."""
+    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
+    return (arr[None], True) if arr.ndim == 3 else (arr, False)
 
 
 def _restore(arr, squeezed):
@@ -214,6 +209,19 @@ def pad_spatial(x, p_t, p_b, p_l, p_r):
     return _restore(_pad_hw(arr, (p_t, p_b, p_l, p_r)), squeezed)
 
 
+def _blocks(b, groups, unit):
+    """Near-equal (items, groups) blocks, as pairs of slices, of a
+    correlation over b items and `groups` groups whose working buffers take
+    `unit` bytes per item and group: one block if all fit _CACHE_BUDGET,
+    else blocks of whole items if one item fits, else blocks of groups of
+    one item; each at least one item of one group."""
+    fit = max(1, _CACHE_BUDGET // unit)
+    ng, ni = min(groups, fit), max(1, min(b, fit // groups))
+    ng, ni = -(-groups // -(-groups // ng)), -(-b // -(-b // ni))
+    return [(slice(i, min(i + ni, b)), slice(g, min(g + ng, groups)))
+            for i in range(0, b, ni) for g in range(0, groups, ng)]
+
+
 def _correlate(x, w, groups=1, stride=(1, 1)):
     """VALID grouped cross-correlation, one GEMM per kernel tap.
 
@@ -221,10 +229,11 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
     for x (B, C, H, W) and w (Co, C // groups, kH, kW), c' running over the
     channels of o's group; groups are the matmul batch axis. On an image
     flattened over (row, column), tap (i, j) is a shift by i*W + j, so each
-    tap multiplies a view of x into rows as wide as the input, of which the
-    VALID columns are summed. A stride splits x and w into phases, each a
-    stride-1 correlation. A channel-wise phase larger than _CACHE_BUDGET
-    runs in channel blocks instead (_correlate_channelwise).
+    tap multiplies a view of x into rows as wide as the input and adds them
+    to an accumulator, of which the VALID columns are kept after the last
+    tap. The work runs in _blocks, so the product and accumulator of a large
+    map stay in cache across the taps. A stride splits x and w into phases,
+    each a stride-1 correlation.
     """
     b, _, hgt, wid = x.shape
     co, cig, kh, kw = w.shape
@@ -234,110 +243,66 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
         return sum(_correlate(x[..., p::s_h, q::s_w], w[..., p::s_h, q::s_w], groups)[..., :ho, :wo]
                    for p in range(min(s_h, kh)) for q in range(min(s_w, kw)))
     dt = np.result_type(x, w)
-    blocks = _channel_blocks(x.shape, ho, cig, co // groups, dt)
-    if blocks:
-        return _correlate_channelwise(x, w, ho, wo, blocks, dt)
+    cog, n = co // groups, ho * wid - (kw - 1)
     xf = x.reshape(b, groups, cig, -1)
-    n = ho * wid - (kw - 1)
-    wg = w.reshape(groups, co // groups, cig, kh, kw)
-    tap = np.empty((b,) + wg.shape[:2] + (ho, wid), dtype=dt)
-    out = tap.reshape(tap.shape[:3] + (-1,))[..., :n]
-    y = np.zeros(tap.shape[:-1] + (wo,), dtype=tap.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            wt = np.ascontiguousarray(wg[..., i, j])
+    wt = np.ascontiguousarray(w.reshape(groups, cog, cig, -1).transpose(3, 0, 1, 2))
+    blocks = _blocks(b, groups, 2 * cog * ho * wid * dt.itemsize)
+    ib, gb = blocks[0]
+    acc = np.empty((ib.stop - ib.start, gb.stop - gb.start, cog, ho * wid), dtype=dt)
+    prod = np.empty(acc.shape[:-1] + (n,), dtype=dt)
+    y = np.empty((b, groups, cog, ho, wo), dtype=dt)
+    for ib, gb in blocks:
+        ni, ng = ib.stop - ib.start, gb.stop - gb.start
+        a, p = acc[:ni, :ng], prod[:ni, :ng]
+        a.fill(0)
+        for t in range(kh * kw):
+            off = t // kw * wid + t % kw
             # with one input channel per group the GEMM is an outer product
-            (np.multiply if cig == 1 else np.matmul)(wt, xf[..., i * wid + j:][..., :n], out=out)
-            y += tap[..., :wo]
+            (np.multiply if cig == 1 else np.matmul)(wt[t, gb], xf[ib, gb, :, off:off + n], out=p)
+            np.add(a[..., :n], p, out=a[..., :n])
+        y[ib, gb] = a.reshape(a.shape[:-1] + (ho, wid))[..., :wo]
     return y.reshape(b, co, ho, wo)
 
 
 def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1)):
     """Weight adjoint of _correlate, d<g, _correlate(x, w, groups, stride)> / dw
-    of shape (Co, C // groups, kh, kw): one GEMM per kernel tap and group,
-    contracting batch and space against a strided slice of x. A stride-1
-    channel-wise one larger than _CACHE_BUDGET runs in channel blocks
-    (_correlate_channelwise_grad_w)."""
+    of shape (Co, C // groups, kh, kw); g may be smaller than the VALID output.
+
+    Per block of _blocks, x is laid out as (groups, C // groups, items * H * W)
+    and g zero-filled to the same positions, so tap (i, j) is one batched
+    GEMM of g against x shifted by i*W + j, contracting items and space; the
+    positions past g's extents add zeros. A stride splits x and dw into
+    phases, each a stride-1 adjoint."""
     b, c, hgt, wid = x.shape
     co, ho, wo = g.shape[1:]
     cig, cog = c // groups, co // groups
     s_h, s_w = stride
     dt = np.result_type(x, g)
-    blocks = _channel_blocks(x.shape, ho, cig, cog, dt) if (s_h, s_w) == (1, 1) else None
-    if blocks:
-        return _correlate_channelwise_grad_w(x, g, kh, kw, blocks, dt)
-    gg = g.reshape(b, groups, cog, -1).transpose(1, 2, 0, 3).reshape(groups, cog, -1)
-    xg = x.reshape(b, groups, cig, hgt, wid).transpose(1, 2, 0, 3, 4)
-    dw = np.empty((groups, cog, cig, kh, kw), dtype=dt)
-    xs = np.empty((groups, cig, b, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            np.copyto(xs, xg[..., i:i + s_h * (ho - 1) + 1:s_h, j:j + s_w * (wo - 1) + 1:s_w])
-            dw[..., i, j] = gg @ xs.reshape(groups, cig, -1).swapaxes(-1, -2)
+    dw = np.zeros((groups, cog, cig, kh * kw), dtype=dt)
+    if (s_h, s_w) != (1, 1):
+        d5 = dw.reshape(co, cig, kh, kw)
+        for p in range(min(s_h, kh)):
+            for q in range(min(s_w, kw)):
+                d5[..., p::s_h, q::s_w] = _correlate_grad_w(
+                    x[..., p::s_h, q::s_w], g, -(-(kh - p) // s_h), -(-(kw - q) // s_w), groups)
+        return d5
+    x4 = x.reshape(b, groups, cig, -1)
+    g5 = g.reshape(b, groups, cog, ho, wo)
+    n = hgt * wid - (kh - 1) * wid - (kw - 1)
+    blocks = _blocks(b, groups, (cig + cog) * hgt * wid * dt.itemsize)
+    ib, gb = blocks[0]
+    buf = np.empty((gb.stop - gb.start) * cog * (ib.stop - ib.start) * hgt * wid, dtype=g.dtype)
+    for ib, gb in blocks:
+        ni, ng = ib.stop - ib.start, gb.stop - gb.start
+        xb = x4[ib, gb].transpose(1, 2, 0, 3).reshape(ng, cig, -1)
+        gz = buf[:ng * cog * ni * hgt * wid].reshape(ng, cog, ni, hgt, wid)
+        gz.fill(0)
+        gz[..., :ho, :wo] = g5[ib, gb].transpose(1, 2, 0, 3, 4)
+        gf = gz.reshape(ng, cog, -1)[..., :(ni - 1) * hgt * wid + n]
+        for t in range(kh * kw):
+            off = t // kw * wid + t % kw
+            dw[gb, ..., t] += gf @ xb[..., off:off + gf.shape[-1]].swapaxes(-1, -2)
     return dw.reshape(co, cig, kh, kw)
-
-
-def _channel_blocks(x_shape, ho, cig, cog, dt):
-    """Blocks (batch index, first channel, end channel) for a stride-1
-    correlation of x_shape that is channel-wise (cig == cog == 1) and whose
-    (B, C, ho, W) accumulator, which holds whole input rows, is larger than
-    _CACHE_BUDGET; None otherwise. The blocks have near-equal channel counts,
-    each small enough that two (channels, ho * W) buffers fit the budget."""
-    b, c, _, wid = x_shape
-    if (cig, cog) != (1, 1) or b * c * ho * wid * dt.itemsize <= _CACHE_BUDGET:
-        return None
-    fit = max(1, _CACHE_BUDGET // (2 * ho * wid * dt.itemsize))
-    step = -(-c // -(-c // fit))
-    return [(i, c0, min(c0 + step, c)) for i in range(b) for c0 in range(0, c, step)]
-
-
-def _correlate_channelwise(x, w, ho, wo, blocks, dt):
-    """_correlate, stride 1, for w of shape (C, 1, kh, kw) with C groups.
-
-    Per block, each tap multiplies one shifted flat view of x into the
-    product buffer and adds it to the full-width accumulator, which starts
-    at zero and is cropped into y after the last tap."""
-    b, c, _, wid = x.shape
-    kh, kw = w.shape[2:]
-    n = ho * wid - (kw - 1)
-    xf = x.reshape(b, c, -1)
-    wf = w.reshape(c, kh * kw)
-    rows = blocks[0][2] - blocks[0][1]
-    acc = np.empty((rows, ho * wid), dtype=dt)
-    prod = np.empty((rows, n), dtype=dt)
-    y = np.empty((b, c, ho, wo), dtype=dt)
-    for i, c0, c1 in blocks:
-        a, p = acc[:c1 - c0], prod[:c1 - c0]
-        a.fill(0)
-        for t in range(kh * kw):
-            off = t // kw * wid + t % kw
-            np.multiply(wf[c0:c1, t, None], xf[i, c0:c1, off:off + n], out=p)
-            np.add(a[:, :n], p, out=a[:, :n])
-        y[i, c0:c1] = a.reshape(-1, ho, wid)[..., :wo]
-    return y
-
-
-def _correlate_channelwise_grad_w(x, g, kh, kw, blocks, dt):
-    """_correlate_grad_w, stride 1, for a channel-wise correlation.
-
-    Each block of g is zero-filled to x's row width once, so a tap's
-    gradient is one (1, n) @ (n, 1) product per channel of the flat block
-    with a shifted flat view of x, copying neither; the columns past g's
-    width add zeros."""
-    b, c, _, wid = x.shape
-    ho, wo = g.shape[2:]
-    n = ho * wid - (kw - 1)
-    xf = x.reshape(b, c, -1)
-    gz = np.zeros((blocks[0][2] - blocks[0][1], ho, wid), dtype=g.dtype)
-    dw = np.empty((b, c, kh * kw), dtype=dt)
-    for i, c0, c1 in blocks:
-        gz[:c1 - c0, :, :wo] = g[i, c0:c1]
-        gf = gz[:c1 - c0].reshape(c1 - c0, -1)[:, :n]
-        for t in range(kh * kw):
-            off = t // kw * wid + t % kw
-            np.matmul(gf[:, None], xf[i, c0:c1, off:off + n, None],
-                      out=dw[i, c0:c1, t, None, None])
-    return dw.sum(axis=0).reshape(c, 1, kh, kw)
 
 
 def conv2d_direct(x, w, geom=None, bias=None):

@@ -44,6 +44,33 @@ def conv2d_loop(x, w, stride=(1, 1), padding=(0, 0, 0, 0), groups=1, bias=None):
     return y
 
 
+def conv_grad_w_loop(x, g, kh, kw, stride=(1, 1), groups=1):
+    """Weight gradient d<g, conv2d_loop(x, w, stride, groups=groups)> / dw of
+    an unpadded convolution by literal summation.
+
+    x: (B, Ci, H, W), g: (B, Co, Ho, Wo); returns (Co, Ci // groups, kh, kw).
+    Tap (a, d) of output channel o and input channel c sums, over batch and
+    output pixels in that order, g at the pixel times the input it reads.
+    """
+    b_n, ci = x.shape[:2]
+    _, co, h_out, w_out = g.shape
+    s_h, s_w = stride
+    cig, cog = ci // groups, co // groups
+    dw = np.zeros((co, cig, kh, kw), dtype=np.result_type(x, g))
+    for o in range(co):
+        grp = o // cog
+        for c in range(cig):
+            for a in range(kh):
+                for d in range(kw):
+                    acc = dw.dtype.type(0)
+                    for b in range(b_n):
+                        for i in range(h_out):
+                            for j in range(w_out):
+                                acc += g[b, o, i, j] * x[b, grp * cig + c, i * s_h + a, j * s_w + d]
+                    dw[o, c, a, d] = acc
+    return dw
+
+
 def merge_kernels_loop(w1, w2):
     """Inter-weight convolution by literal padded, index-inverted summation.
 

@@ -161,6 +161,16 @@ def _malformed_argv(tmp_path, case):
     if case in UNALIGNABLE_SPEC:
         (tmp_path / "even.json").write_text(json.dumps(EVEN_BRANCH_SPEC))
         return UNALIGNABLE_SPEC[case](tmp_path / "even.json", tmp_path)
+    if case in NON_FINITE_SPEC:
+        (tmp_path / "nonfinite.json").write_text(json.dumps(NON_FINITE_SPEC[case]))
+        return ["squeeze", tmp_path / "nonfinite.json", "--out", tmp_path / "k.okt"]
+    if case == "checkpoint_nan_weight":
+        doc, block = load_spec(spec)
+        save_checkpoint(tmp_path / "bad.ckpt", doc, block)
+        payload = json.loads((tmp_path / "bad.ckpt").read_text())
+        payload["branches"][0]["layers"][0]["data"][0] = float("nan")
+        (tmp_path / "bad.ckpt").write_text(json.dumps(payload))
+        return ["analyze", tmp_path / "bad.ckpt", *csvs]
     if case == "unallocatable_weights":
         (tmp_path / "huge.json").write_text(json.dumps(HUGE_SPEC))
         return ["verify", tmp_path / "huge.json", "--trials", 1]
@@ -210,6 +220,15 @@ UNALIGNABLE_SPEC = {
 }
 
 
+# specs holding one of the non-standard constants json.load accepts
+NON_FINITE_SPEC = {
+    "spec_nan_theta": {**EVEN_BRANCH_SPEC,
+                       "branches": [[{"kind": "conv", "k": 3, "theta": float("nan")}]]},
+    "spec_infinite_scaling": {**EVEN_BRANCH_SPEC, "scaling_init": [float("inf")],
+                              "branches": [[{"kind": "conv", "k": 3}]]},
+}
+
+
 # inputs whose first large array needs far more than 2^47 bytes (728 and 466 TiB),
 # so that allocating it fails at once whatever the overcommit policy
 HUGE_SPEC = {"in_ch": 10000000, "out_ch": 10000000, "k": 1, "seed": 0, "preset": "orepa1x1"}
@@ -218,7 +237,8 @@ HUGE_SPEC = {"in_ch": 10000000, "out_ch": 10000000, "k": 1, "seed": 0, "preset":
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
                                   "checkpoint_without_weights", "checkpoint_wrong_shape",
                                   *TRUNCATED_CHECKPOINT, *UNFIT_KERNEL, *BAD_FLAGS,
-                                  *UNALIGNABLE_SPEC, "unwritable_report",
+                                  *UNALIGNABLE_SPEC, *NON_FINITE_SPEC, "checkpoint_nan_weight",
+                                  "unwritable_report",
                                   "unallocatable_weights", "unallocatable_input"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     rc = run(_malformed_argv(tmp_path, case))

@@ -171,16 +171,29 @@ def test_src_fd_agrees_with_test_fd():
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
+# (groups, in channels, out channels, extents, batch) per layout; the
+# layouts past 4 run the tap loops in several blocks of tensor._blocks:
+# 61 and 64 are channel-wise maps at 58x58, 61 leaving a remainder block;
+# "dense" is one 64 -> 64 conv that splits per batch item, "multiplier" a
+# depthwise layer with 4 outputs per channel that splits by groups, and
+# "channelwise116" a map whose stride-2 phases still split by groups
+CONV_LAYOUTS = {1: (1, 4, 8, (7, 8), 2), 2: (2, 4, 8, (7, 8), 2), 4: (4, 4, 8, (7, 8), 2),
+                61: (61, 61, 61, (58, 58), 2), 64: (64, 64, 64, (58, 58), 2),
+                "dense": (1, 64, 64, (58, 58), 3), "multiplier": (64, 64, 256, (58, 58), 2),
+                "channelwise116": (64, 64, 64, (116, 116), 2)}
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("groups", [1, 2, 4, 61, 64])
-def test_conv_adjoints_dot_product_identity(groups, stride, k):
+@pytest.mark.parametrize("layout", CONV_LAYOUTS)
+def test_conv_adjoints_dot_product_identity(layout, stride, k):
     # <g, conv(x, w)> = <grad_x, x> = <grad_w, w>; grad_x covers stride 1 only.
-    # 61 and 64 groups are channel-wise maps at 58x58 whose stride-1 adjoints
-    # are larger than tensor._CACHE_BUDGET; 61 leaves a remainder block
-    rng = np.random.default_rng(100 * groups + 10 * stride + k)
-    c, co, hw = (4, 8, (7, 8)) if groups <= 4 else (groups, groups, (58, 58))
-    x = rng.standard_normal((2, c) + hw)
+    groups, c, co, hw, batch = CONV_LAYOUTS[layout]
+    # a named layout draws from a stream of its own, apart from the
+    # integer layout with its group count
+    seed = 100 * groups + 10 * stride + k
+    rng = np.random.default_rng(seed if layout == groups else [seed, c, co, batch])
+    x = rng.standard_normal((batch, c) + hw)
     w = KernelTensor(rng.standard_normal((co, c // groups, k, k + 1)), groups=groups)
     geom = ConvGeometry(stride=(stride, stride))
     y = conv2d_direct(Tensor(x), w, geom).data

@@ -6,11 +6,16 @@ the arguments and the outputs; the last command writes the report.
 Regenerate the golden with
 
     PYTHONPATH=src python tests/test_reports.py
+
+which prints the old and new sha256 of the file and, for each entry that
+changed, the largest absolute difference between its numbers.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -61,10 +66,41 @@ def test_report_matches_golden(tmp_path, name):
     assert got["report"] == dump(want["report"])
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def numbers(entry):
+    """Every number in a golden entry in a fixed order, those written inside
+    strings (stdout lines) included."""
+    if isinstance(entry, dict):
+        return [n for key in sorted(entry) for n in numbers(entry[key])]
+    if isinstance(entry, list):
+        return [n for item in entry for n in numbers(item)]
+    if isinstance(entry, str):
+        return [float(m) for m in NUMBER.findall(entry)]
+    return [] if entry is None or isinstance(entry, bool) else [float(entry)]
+
+
+def largest_move(old, new):
+    """Largest |new - old| over an entry's numbers; inf if they do not pair up."""
+    a, b = numbers(old), numbers(new)
+    if len(a) != len(b):
+        return float("inf")
+    return max((0.0 if x == y or x != x and y != y else abs(x - y) for x, y in zip(a, b)),
+               default=0.0)
+
+
 if __name__ == "__main__":
+    old_text = GOLDEN.read_text() if GOLDEN.exists() else "{}"
+    old = json.loads(old_text)
     golden = {}
     for name, argvs in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             golden[name] = run_case(argvs, Path(tmp))
         golden[name]["report"] = json.loads(golden[name]["report"])
     GOLDEN.write_text(dump(golden))
+    for label, text in (("old", old_text), ("new", dump(golden))):
+        print(f"{label} sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    for name in golden:
+        if golden[name] != old.get(name):
+            print(f"{name}: largest |diff| {largest_move(old.get(name), golden[name]):.3g}")

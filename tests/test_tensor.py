@@ -1,14 +1,18 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orepa import tensor
 from orepa.dynamics import _conv_grad_w
 from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError, Tensor, add,
-                          _channel_blocks, conv2d_direct, pad_spatial, same_padding,
-                          scale_by_channel, sum_over)
+                          _blocks, _correlate, _correlate_grad_w, conv2d_direct, pad_spatial,
+                          same_padding, scale_by_channel, sum_over)
 
-from oracles import conv2d_loop
+from oracles import conv2d_loop, conv_grad_w_loop
 
 
 def test_scalar_product():
@@ -107,7 +111,8 @@ def test_channelwise_conv_above_the_cache_budget_keeps_tap_order(shape, dtype, k
     x = Tensor(rng.uniform(-1, 1, size=shape), dtype=dtype)
     w = KernelTensor(rng.uniform(-1, 1, size=(shape[1], 1) + k), groups=shape[1], dtype=dtype)
     ho = shape[2] - k[0] + 1
-    assert _channel_blocks(shape, ho, 1, 1, x.data.dtype) is not None
+    # the forward's product and accumulator take 2 * ho * W elements per channel
+    assert len(_blocks(shape[0], shape[1], 2 * ho * shape[3] * x.data.itemsize)) > 1
     got = conv2d_direct(x, w).data
     assert np.array_equal(got, _per_channel_correlation(x.data, w.data))
 
@@ -117,29 +122,68 @@ def test_strided_channelwise_conv_with_phases_above_the_cache_budget():
     x = rng.uniform(-1, 1, size=(2, 64, 116, 116))
     w = rng.uniform(-1, 1, size=(64, 1, 3, 3))
     # the four stride phases correlate (2, 64, 58, 58) maps with 2x2 to 1x1 taps
-    assert _channel_blocks((2, 64, 58, 58), 57, 1, 1, x.dtype) is not None
+    assert len(_blocks(2, 64, 2 * 57 * 58 * x.itemsize)) > 1
     got = conv2d_direct(Tensor(x), KernelTensor(w, groups=64), ConvGeometry(stride=(2, 2))).data
     np.testing.assert_allclose(got, _per_channel_correlation(x, w, stride=2),
                                rtol=1e-12, atol=1e-12)
 
 
+def test_dense_conv_above_the_cache_budget_equals_its_items_stacked():
+    # one item's product and accumulator outgrow the budget, so the batch
+    # runs item by item, each exactly as a call on that item alone
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((3, 64, 58, 58))
+    w = KernelTensor(rng.standard_normal((64, 64, 3, 3)))
+    assert len(_blocks(3, 1, 2 * 64 * 56 * 58 * x.itemsize)) == 3
+    got = conv2d_direct(Tensor(x), w).data
+    assert np.array_equal(got, np.stack([conv2d_direct(Tensor(item), w).data for item in x]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups=st.integers(1, 3), cig=st.integers(1, 2), cog=st.integers(1, 3),
+       k=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       extra=st.tuples(st.integers(0, 3), st.integers(0, 3)), batch=st.integers(1, 3),
+       budget=st.sampled_from([1, 600, 4000, _CACHE_BUDGET]), seed=st.integers(0, 2 ** 16))
+def test_correlation_in_any_blocks_matches_loop_oracles(groups, cig, cog, k, stride, extra,
+                                                         batch, budget, seed):
+    # budgets below one item's buffers split the work by items, then by
+    # groups of one item; the forward keeps its bits and the weight adjoint
+    # matches the loop whatever the blocks
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, groups * cig, k[0] + extra[0], k[1] + extra[1]))
+    w = rng.standard_normal((groups * cog, cig) + k)
+    y = _correlate(x, w, groups, stride)
+    g = rng.standard_normal(y.shape)
+    with mock.patch.object(tensor, "_CACHE_BUDGET", budget):
+        assert np.array_equal(_correlate(x, w, groups, stride), y)
+        dw = _correlate_grad_w(x, g, k[0], k[1], groups, stride)
+    np.testing.assert_allclose(y, conv2d_loop(x, w, stride=stride, groups=groups),
+                               rtol=1e-12, atol=1e-12)
+    want = conv_grad_w_loop(x, g, k[0], k[1], stride, groups)
+    assert dw.shape == want.shape
+    assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     # tracemalloc counts numpy's buffers exactly: a buffer the size of the
-    # whole map per tap would exceed either bound
+    # whole map per tap, or a copy of a dense input, would exceed the bounds
     rng = np.random.default_rng(31)
     x = Tensor(rng.standard_normal((2, 64, 58, 58)))
     w = KernelTensor(rng.standard_normal((64, 1, 3, 3)), groups=64)
+    w_dense = KernelTensor(rng.standard_normal((64, 64, 3, 3)))
     g = rng.standard_normal((2, 64, 56, 56))
-    peaks = []
-    for op in (lambda: conv2d_direct(x, w), lambda: _conv_grad_w(x, g, w, ConvGeometry())):
+    cases = [(lambda: conv2d_direct(x, w), g.nbytes + _CACHE_BUDGET),
+             (lambda: _conv_grad_w(x, g, w, ConvGeometry()), _CACHE_BUDGET),
+             (lambda: _conv_grad_w(x, g, w_dense, ConvGeometry()), x.data.nbytes + _CACHE_BUDGET)]
+    for op, bound in cases:
         tracemalloc.start()
         try:
             op()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= g.nbytes + _CACHE_BUDGET
-    assert peaks[1] <= _CACHE_BUDGET
+        assert peak <= bound
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
