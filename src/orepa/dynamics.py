@@ -184,7 +184,7 @@ def backward_through_squeeze(block, x, upstream):
     for bi, (branch, (factors, prefix)) in enumerate(zip(block.branches, folds)):
         g_k = g_e[_centered(g_e.shape, branch_kernels[bi].shape)]
         if branch.scaling is not None:
-            grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k, optimize=True)
+            grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k)
             g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
         for li in range(len(factors) - 1, 0, -1):
             g_prev, g_wi = _merge_backward(prefix[li - 1], factors[li], g_k)
@@ -196,13 +196,19 @@ def backward_through_squeeze(block, x, upstream):
 
 def backward_through_expanded(block, x, upstream):
     """Same gradients, chained through the expanded per-layer evaluation
-    under expanded_forward's outer padding."""
+    under expanded_forward's outer padding, with f64 map gradients. A branch
+    scaling acts in kernel space: with dw the last layer's unscaled weight
+    adjoint, grad gamma_o = <w_o, dw_o> (as <g_o, conv(a, w)_o> = <w_o, dw_o>),
+    grad w = gamma * dw, and the input adjoint runs with w scaled by gamma."""
     xp, out_hw = _expanded_input(block, x)
     xp = _batched(xp)[0]
     ps = ParamSet(block)
     s_h, s_w = block.output_geometry.stride
-    g_sum = np.zeros((xp.shape[0], block.out_ch) + out_hw)
-    g_sum[:, :, ::s_h, ::s_w] = _batched(upstream)[0]
+    full, up = (xp.shape[0], block.out_ch) + out_hw, _batched(upstream)[0]
+    g_sum = up.astype(np.float64, copy=False)
+    if up.shape != full:
+        g_sum = np.zeros(full)
+        g_sum[:, :, ::s_h, ::s_w] = up
 
     grad_map = {}
     valid = ConvGeometry()
@@ -210,14 +216,19 @@ def backward_through_expanded(block, x, upstream):
         acts = [xp]
         for w in branch.weights:
             acts.append(conv2d_direct(Tensor(acts[-1]), w, valid).data)
-        g_a = np.zeros(acts[-1].shape)
-        g_a[_centered(g_a.shape, g_sum.shape)] = g_sum
-        if branch.scaling is not None:
-            grad_map[(bi, -1)] = np.einsum("bchw,bchw->c", acts[-1], g_a, optimize=True)
-            g_a = g_a * np.asarray(branch.scaling, dtype=np.float64)[None, :, None, None]
+        out_shape = acts.pop().shape  # only its extents are read
+        g_a = g_sum
+        if out_shape != g_sum.shape:
+            g_a = np.zeros(out_shape)
+            g_a[_centered(out_shape, g_sum.shape)] = g_sum
         for li in range(len(branch.weights) - 1, -1, -1):
             w = branch.weights[li]
-            grad_map[(bi, li)] = _conv_grad_w(acts[li], g_a, w, valid)
+            dw = grad_map[(bi, li)] = _conv_grad_w(acts[li], g_a, w, valid)
+            if branch.scaling is not None and li == len(branch.weights) - 1:
+                gamma = np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
+                grad_map[(bi, -1)] = np.einsum("opij,opij->o", w.data, dw)
+                dw *= gamma  # the entry in grad_map too
+                w = KernelTensor(w.data * gamma, groups=w.groups) if li > 0 else w
             if li > 0:
                 g_a = _conv_grad_x(g_a, w)
     return ps.flatten_grads(grad_map)

@@ -254,12 +254,14 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
     for ib, gb in blocks:
         ni, ng = ib.stop - ib.start, gb.stop - gb.start
         a, p = acc[:ni, :ng], prod[:ni, :ng]
-        a.fill(0)
         for t in range(kh * kw):
             off = t // kw * wid + t % kw
-            # with one input channel per group the GEMM is an outer product
-            (np.multiply if cig == 1 else np.matmul)(wt[t, gb], xf[ib, gb, :, off:off + n], out=p)
-            np.add(a[..., :n], p, out=a[..., :n])
+            # with one input channel per group the GEMM is an outer product;
+            # tap 0 writes the accumulator, whose last kw - 1 columns are never read
+            (np.multiply if cig == 1 else np.matmul)(wt[t, gb], xf[ib, gb, :, off:off + n],
+                                                     out=p if t else a[..., :n])
+            if t:
+                np.add(a[..., :n], p, out=a[..., :n])
         y[ib, gb] = a.reshape(a.shape[:-1] + (ho, wid))[..., :wo]
     return y.reshape(b, co, ho, wo)
 

@@ -71,6 +71,28 @@ def conv_grad_w_loop(x, g, kh, kw, stride=(1, 1), groups=1):
     return dw
 
 
+def branch_scaling_grad_loop(branch_out, g_sum):
+    """Gradient of <g_sum, gamma * crop(branch_out)> in gamma by literal summation.
+
+    branch_out: (B, C, H, W), the branch's unscaled output; g_sum: (B, C, Ho,
+    Wo), the gradient at the block's unstrided output, which reads the window
+    of branch_out centered on its extents. Channel c sums, over batch and
+    output pixels in that order, the cropped output times g_sum.
+    """
+    b_n, c_n, h, w = branch_out.shape
+    _, _, h_out, w_out = g_sum.shape
+    mh, mw = (h - h_out) // 2, (w - w_out) // 2
+    out = np.zeros(c_n)
+    for c in range(c_n):
+        acc = 0.0
+        for b in range(b_n):
+            for i in range(h_out):
+                for j in range(w_out):
+                    acc += branch_out[b, c, mh + i, mw + j] * g_sum[b, c, i, j]
+        out[c] = acc
+    return out
+
+
 def merge_kernels_loop(w1, w2):
     """Inter-weight convolution by literal padded, index-inverted summation.
 

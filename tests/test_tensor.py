@@ -165,6 +165,27 @@ def test_correlation_in_any_blocks_matches_loop_oracles(groups, cig, cog, k, str
     assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@settings(max_examples=80, deadline=None)
+@given(groups=st.integers(1, 4), cig=st.integers(1, 3), mult=st.integers(1, 4),
+       hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       stride=st.tuples(st.integers(1, 2), st.integers(1, 2)), batch=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_correlate_matches_the_loop_oracle(groups, cig, mult, hw, stride, batch, seed, data):
+    # one input channel per group takes the outer-product path, more take
+    # the GEMM; mult is the count of output channels per group; the first
+    # tap writes the accumulator that the later taps add to
+    k = tuple(data.draw(st.integers(1, e)) for e in hw)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, groups * cig) + hw)
+    w = rng.standard_normal((groups * mult, cig) + k)
+    y = _correlate(x, w, groups, stride)
+    want = conv2d_loop(x, w, stride=stride, groups=groups)
+    assert y.shape == want.shape
+    # relative to the sum of |products|, so that a cancelling sum cannot fail it
+    scale = conv2d_loop(np.abs(x), np.abs(w), stride=stride, groups=groups)
+    assert np.all(np.abs(y - want) <= 1e-12 * scale)
+
+
 def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     # tracemalloc counts numpy's buffers exactly: a buffer the size of the
     # whole map per tap, or a copy of a dense input, would exceed the bounds
