@@ -9,6 +9,8 @@ consumed branch by branch, layer by layer.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -24,9 +26,14 @@ class SpecError(ValueError):
     """The spec file is malformed or fails schema validation."""
 
 
-def _refuse_constant(token):
-    """json's parse_constant hook: specs and checkpoints hold finite numbers only."""
-    raise SpecError(f"non-finite number {token}")
+def _finite(token):
+    """json's parse_float and parse_constant hook: specs and checkpoints hold
+    finite numbers only, so NaN, Infinity and a literal that overflows to an
+    infinity (1e400) are all refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise SpecError(f"non-finite number {token}")
+    return value
 
 
 def load_schema():
@@ -46,6 +53,8 @@ def validate_spec(doc):
 LAYER_KEYS = {"conv": ("out_ch", "k", "groups"), "identity1x1": ("out_ch", "groups"),
               "scaling": (), "avgpool": ("k",), "freqfilter": ("k",),
               "depthwise": ("k", "expansion"), "pointwise": ("out_ch",)}
+# The InitRule field each init key sets; the others keep the kind's default rule.
+_INIT_FIELDS = {"init": "kind", "theta": "theta", "value": "value", "symmetric": "symmetric"}
 
 
 def _layer_from_obj(obj, in_ch, default_k):
@@ -56,14 +65,9 @@ def _layer_from_obj(obj, in_ch, default_k):
         shape.setdefault("k", default_k)
     # a layer without out_ch keeps its width, times a depthwise expansion
     out_ch = shape.pop("out_ch", None) or in_ch * shape.get("expansion", 1)
-    init = None
-    if any(key in obj for key in ("init", "theta", "value", "symmetric")):
-        init = L.InitRule(obj.get("init", "kaiming_uniform"),
-                          theta=obj.get("theta", L.DEFAULT_THETA),
-                          value=obj.get("value", 1.0),
-                          symmetric=obj.get("symmetric", False))
-    return L.LayerSpec(kind, in_ch, out_ch, init=init, trainable=obj.get("trainable"),
-                       **shape)
+    spec = L.LayerSpec(kind, in_ch, out_ch, trainable=obj.get("trainable"), **shape)
+    rule = {field: obj[key] for key, field in _INIT_FIELDS.items() if key in obj}
+    return replace(spec, init=replace(spec.init, **rule))
 
 
 def block_from_spec(doc):
@@ -116,7 +120,7 @@ def load_spec(path):
     """Read, validate and build; returns (document, BlockGraph)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_refuse_constant)
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read spec {path}: {exc}") from exc
     return doc, block_from_spec(doc)
@@ -149,7 +153,7 @@ def load_checkpoint(path):
     """Rebuild a block from a checkpoint; returns (document, BlockGraph)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, parse_constant=_refuse_constant)
+            payload = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CKPT_FORMAT:

@@ -30,7 +30,7 @@ from .dynamics import (OptimizerConfig, branch_similarity, channel_norm_profile,
                        probe_shared_gamma, train_toy)
 from .okt import FormatError, read_okt, write_okt
 from .squeeze import MergeError, cost_report, expanded_forward, squeeze_block
-from .tensor import KernelTensor, ShapeError, Tensor, conv2d_direct
+from .tensor import KernelTensor, ShapeError, Tensor, _addressable, conv2d_direct
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -116,7 +116,7 @@ def cmd_verify(args):
     geom = block.eval_geometry()
     residuals, y_max = [], 1.0
     for _ in range(args.trials):
-        x = Tensor(rng.uniform(-1, 1, size=(args.batch, block.in_ch, args.hw[0], args.hw[1])),
+        x = Tensor(rng.uniform(-1, 1, size=_addressable((args.batch, block.in_ch, *args.hw))),
                    dtype=dtype)
         ys = conv2d_direct(x, kernel, geom).data, expanded_forward(block, x).data
         residuals.append(np.abs(ys[0] - ys[1]).max())
@@ -131,13 +131,13 @@ def cmd_verify(args):
 def cmd_gradcheck(args):
     doc, block = load_spec(args.spec)
     rng = np.random.default_rng(doc["seed"])
-    x = Tensor(rng.standard_normal((args.batch, block.in_ch, args.hw[0], args.hw[1])),
+    x = Tensor(rng.standard_normal(_addressable((args.batch, block.in_ch, *args.hw))),
                dtype=doc.get("dtype", "f64"))
     geom = block.eval_geometry()
     s_h, s_w = geom.stride
     h_out = (args.hw[0] - 1) // s_h + 1
     w_out = (args.hw[1] - 1) // s_w + 1
-    upstream = Tensor(rng.standard_normal((args.batch, block.out_ch, h_out, w_out)),
+    upstream = Tensor(rng.standard_normal(_addressable((args.batch, block.out_ch, h_out, w_out))),
                       dtype=doc.get("dtype", "f64"))
     res = gradcheck_block(block, x, upstream)
     _print_table([("params", res["n_params"]),

@@ -15,14 +15,13 @@ floating-point noise. That identity is the artifact's headline invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .squeeze import (_expanded_input, _fold, apply_branch_scaling,
-                      block_forward_squeezed, merge_parallel, squeeze_block,
-                      squeeze_branch)
-from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _batched, _centered,
-                     _correlate, _correlate_grad_w, _pad_hw, conv2d_direct)
+from .squeeze import _expanded_input, _squeeze, block_forward_squeezed, squeeze_branch
+from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _addressable, _batched,
+                     _centered, _correlate, _correlate_grad_w, _pad_hw, conv2d_direct)
 
 
 # --------------------------------------------------------------------------
@@ -169,20 +168,16 @@ def _dense_grad_to_native(grad, kernel):
 
 def backward_through_squeeze(block, x, upstream):
     """Gradients of L = <upstream, conv(x, W_e)> for every trainable scalar,
-    chained through the kernel-space merges of the fold squeeze_branch
+    chained through the kernel-space merges of the fold squeeze_block
     runs. Returns a flat vector in ParamSet order."""
     ps = ParamSet(block)
-    folds = [_fold(branch) for branch in block.branches]
-    branch_kernels = [prefix[-1] if branch.scaling is None
-                      else apply_branch_scaling(prefix[-1], branch.scaling)
-                      for branch, (_, prefix) in zip(block.branches, folds)]
-    w_e = branch_kernels[0] if len(branch_kernels) == 1 else merge_parallel(branch_kernels)
-
+    folds = []
+    w_e = _squeeze(block, [], folds)
     g_e = _conv_grad_w(x, upstream, w_e, block.eval_geometry())
 
     grad_map = {}
     for bi, (branch, (factors, prefix)) in enumerate(zip(block.branches, folds)):
-        g_k = g_e[_centered(g_e.shape, branch_kernels[bi].shape)]
+        g_k = g_e[_centered(g_e.shape, prefix[-1].shape)]
         if branch.scaling is not None:
             grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k)
             g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
@@ -396,13 +391,26 @@ def _pair_law(gamma, w, x, g, eta, gamma_rate=1.0):
     return -eta * (gamma ** 2 * g * x + gamma_rate * float(w @ x) * g * w)
 
 
-def _residual(delta_fn, law, eta):
-    """The report's residual_norm, max |delta(eta) - law| for a law linear
-    in eta, and residual_ratio, its ratio to the same at eta / 2 (about 4
-    when the remainder is quadratic)."""
-    norm = float(np.max(np.abs(delta_fn(eta) - law)))
-    half = float(np.max(np.abs(delta_fn(eta / 2) - law / 2)))
-    return {"residual_norm": norm, "residual_ratio": norm / half if half > 0 else None}
+def _vec(v):
+    return np.atleast_1d(np.asarray(v, dtype=np.float64))
+
+
+def _report(probe, eta, delta, law, reference=None, **details):
+    """A probe's report on its update delta(e). residual_norm is
+    max |delta(eta) - law| for a law linear in eta, and residual_ratio its
+    ratio to the same at eta / 2 (about 4 when the remainder is quadratic).
+    Given a reference update, first_order_diff is the largest gap between
+    the first-order parts of the two, and details hold reference(eta) too."""
+    observed = delta(eta)
+    norm = float(np.max(np.abs(observed - law)))
+    half = float(np.max(np.abs(delta(eta / 2) - law / 2)))
+    first_order_diff = None
+    if reference is not None:
+        first_order_diff = float(np.max(np.abs(
+            _first_order(delta, eta) - _first_order(reference, eta))))
+        details["reference"] = reference(eta)
+    return DynamicsReport(probe, eta, norm, norm / half if half > 0 else None,
+                          first_order_diff, {**details, "observed": observed})
 
 
 def probe_conv_scale_update(weight, gamma, x, g, eta):
@@ -412,24 +420,13 @@ def probe_conv_scale_update(weight, gamma, x, g, eta):
     predicted is its first-order part; the residual is their gap, which
     shrinks like eta^2.
     """
-    w = np.atleast_1d(np.asarray(weight, dtype=np.float64))
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    w, xv = _vec(weight), _vec(x)
     gamma = float(gamma)
     g = float(g)
-    pair = _pair(gamma, w)
-
-    def delta(e):
-        return _chain_step(pair, xv, g, e)
-
+    delta = partial(_chain_step, _pair(gamma, w), xv, g)
     predicted = _pair_law(gamma, w, xv, g, eta)
-    observed = delta(eta)
-    return DynamicsReport(
-        probe="convscale", eta=eta, **_residual(delta, predicted, eta),
-        details={
-            "observed": observed, "predicted": predicted,
-            "end_to_end_before": gamma * w,
-            "end_to_end_after": gamma * w + observed,
-        })
+    return _report("convscale", eta, delta, predicted, predicted=predicted,
+                   end_to_end_before=gamma * w, end_to_end_after=gamma * w + delta(eta))
 
 
 def probe_shared_gamma(weight, gamma, x, g, n_branches, eta, rng=None,
@@ -449,8 +446,7 @@ def probe_shared_gamma(weight, gamma, x, g, n_branches, eta, rng=None,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    w = np.atleast_1d(np.asarray(weight, dtype=np.float64))
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    w, xv = _vec(weight), _vec(x)
     gamma = float(gamma)
     g = float(g)
     m = int(n_branches)
@@ -458,35 +454,23 @@ def probe_shared_gamma(weight, gamma, x, g, n_branches, eta, rng=None,
         parts = [rng.standard_normal(w.shape) for _ in range(m - 1)]
         parts.append(w - sum(parts) if m > 1 else w.copy())
     else:
-        parts = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in parts]
+        parts = [_vec(p) for p in parts]
         if len(parts) != m:
             raise ShapeError("parts", m, len(parts))
     s = np.sum(parts, axis=0)
     gamma_rate = 0.0 if pin_gamma else 1.0
     split = [np.stack(parts), np.ones((1, m)), np.atleast_2d(gamma)]
-    fused = _pair(gamma, s)
+    delta_ref = partial(_chain_step, _pair(gamma, s), xv, g, rates=(1.0, gamma_rate))
 
     def delta_branch(e, lr_scale):
         return _chain_step(split, xv, g, e, (lr_scale, 0.0, gamma_rate))
 
-    def delta_ref(e):
-        return _chain_step(fused, xv, g, e, (1.0, gamma_rate))
-
     lr_scale = 1.0 / m if split_normalized else 1.0
-    fo_ref = _first_order(delta_ref, eta)
-    fo_branch = _first_order(lambda e: delta_branch(e, lr_scale), eta)
-    fo_branch_raw = _first_order(lambda e: delta_branch(e, 1.0), eta)
+    fo_raw_gap = _first_order(lambda e: delta_branch(e, 1.0), eta) - _first_order(delta_ref, eta)
     law = _pair_law(gamma, s, xv, g, eta, gamma_rate)
-    return DynamicsReport(
-        probe="shared", eta=eta, **_residual(lambda e: delta_branch(e, lr_scale), law, eta),
-        first_order_diff=float(np.max(np.abs(fo_branch - fo_ref))),
-        details={
-            "n_branches": m,
-            "split_normalized": split_normalized,
-            "unnormalized_first_order_diff": float(np.max(np.abs(fo_branch_raw - fo_ref))),
-            "observed": delta_branch(eta, lr_scale),
-            "reference": delta_ref(eta),
-        })
+    return _report("shared", eta, lambda e: delta_branch(e, lr_scale), law, delta_ref,
+                   n_branches=m, split_normalized=split_normalized,
+                   unnormalized_first_order_diff=float(np.max(np.abs(fo_raw_gap))))
 
 
 def probe_branchwise_gamma(branches, x, g, eta):
@@ -501,10 +485,10 @@ def probe_branchwise_gamma(branches, x, g, eta):
     active branches differ, no pair reproduces it and the first-order gap
     is the structural signature of branch-wise scaling.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xv = _vec(x)
     g = float(g)
     gammas = [float(gm) for gm, _ in branches]
-    ws = [np.atleast_1d(np.asarray(w, dtype=np.float64)) for _, w in branches]
+    ws = [_vec(w) for _, w in branches]
     pairs = [_pair(gm, w) for gm, w in zip(gammas, ws)]
 
     def delta_branch(e):
@@ -518,13 +502,7 @@ def probe_branchwise_gamma(branches, x, g, eta):
     else:
         gamma_r = 1.0
         w_r = np.sum(ws, axis=0)
-    reference = _pair(gamma_r, w_r)
-
-    def delta_ref(e):
-        return _chain_step(reference, xv, g, e)
-
-    fo_branch = _first_order(delta_branch, eta)
-    fo_ref = _first_order(delta_ref, eta)
+    delta_ref = partial(_chain_step, _pair(gamma_r, w_r), xv, g)
 
     active = [bool(np.any(w != 0) or gm != 0) for gm, w in zip(gammas, ws)]
     act_idx = [i for i, a in enumerate(active) if a]
@@ -535,18 +513,9 @@ def probe_branchwise_gamma(branches, x, g, eta):
                    for ai, i in enumerate(act_idx) for j in act_idx[ai + 1:])
     conditions_hold = len(act_idx) >= 2 and distinct
 
-    law = np.sum(per_branch_fo, axis=0)
-    return DynamicsReport(
-        probe="branchwise", eta=eta, **_residual(delta_branch, law, eta),
-        first_order_diff=float(np.max(np.abs(fo_branch - fo_ref))),
-        details={
-            "n_branches": len(ws),
-            "active": active,
-            "conditions_hold": bool(conditions_hold),
-            "min_branch_gradient_gap": min(pair_gaps) if pair_gaps else None,
-            "observed": delta_branch(eta),
-            "reference": delta_ref(eta),
-        })
+    return _report("branchwise", eta, delta_branch, np.sum(per_branch_fo, axis=0), delta_ref,
+                   n_branches=len(ws), active=active, conditions_hold=bool(conditions_hold),
+                   min_branch_gradient_gap=min(pair_gaps) if pair_gaps else None)
 
 
 def project_onto(w, g_vec):
@@ -604,23 +573,14 @@ def probe_multilayer_lemma(n_layers, eta, input_dim=5, hidden_dim=3, scale=1.0,
                     rtol=0, atol=1e-10)
         for i in range(n - 1))
 
-    def delta(e):
-        return _chain_step(chain, xv, g, e)
-
+    delta = partial(_chain_step, chain, xv, g)
     w_e = _chain_product(chain)[0]
     g_vec = g * xv
     norm_we = float(np.linalg.norm(w_e))
     predicted = -eta * (norm_we ** (2.0 - 2.0 / n)) * (
         g_vec + (n - 1) * project_onto(w_e, g_vec))
-    return DynamicsReport(
-        probe="lemma", eta=eta, **_residual(delta, predicted, eta),
-        details={
-            "n_layers": n,
-            "balanced": bool(balanced),
-            "observed": delta(eta),
-            "predicted": predicted,
-            "end_to_end_before": w_e,
-        })
+    return _report("lemma", eta, delta, predicted, n_layers=n, balanced=bool(balanced),
+                   predicted=predicted, end_to_end_before=w_e)
 
 
 # --------------------------------------------------------------------------
@@ -646,10 +606,9 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
         raise ShapeError("target kernel", (block.out_ch, block.in_ch, keh, kew),
                          target_kernel.shape)
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((batch, block.in_ch) + tuple(hw)),
+    x = Tensor(rng.standard_normal(_addressable((batch, block.in_ch) + tuple(hw))),
                dtype=block.dtype)
-    geom = block.eval_geometry()
-    y_t = conv2d_direct(x, target_kernel.astype(block.dtype), geom).data
+    y_t = conv2d_direct(x, target_kernel.astype(block.dtype), block.eval_geometry()).data
 
     ps = ParamSet(block)
     state = SgdState()
@@ -658,8 +617,7 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
     history = []
 
     def current_loss():
-        y = conv2d_direct(x, squeeze_block(block).kernel, geom).data
-        r = y - y_t
+        r = block_forward_squeezed(block, x).data - y_t
         return float(0.5 * np.mean(r * r)), r
 
     for step in range(steps):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import KernelTensor, ShapeError, np_dtype
+from .tensor import KernelTensor, ShapeError, _addressable, np_dtype
 
 KINDS = ("conv", "identity1x1", "scaling", "avgpool", "freqfilter", "depthwise", "pointwise")
 
@@ -152,7 +152,7 @@ def materialize(spec, rng, dtype="f64"):
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     dt = np_dtype(dtype)
-    co, cig, kh, kw = spec.kernel_shape
+    co, cig, kh, kw = _addressable(spec.kernel_shape)
     g = spec.effective_groups
 
     if spec.init.kind == "kaiming_uniform":

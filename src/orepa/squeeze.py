@@ -239,52 +239,56 @@ def _dense_shape(w):
     return (w.out_channels, w.in_channels, w.kh, w.kw)
 
 
-def _fold(branch, trace=None):
-    """Left-fold a branch's layers, scaling aside. Returns the factors (the
-    first layer in its native grouped layout, see merge_sequential, every
-    later one dense) and their prefix products, the last expanded to dense.
-    The trace records the dense algebra all the same: every grouped layer
-    is expanded, then merged."""
+def _fold(branch, trace, folds):
+    """Left-fold a branch's layers, scaling aside, into the dense kernel it
+    returns; folds receives the factors (the first layer in its native grouped
+    layout, see merge_sequential, every later one dense) and their prefix
+    products, the last expanded to dense. The trace records the dense algebra
+    all the same: every grouped layer is expanded, then merged."""
     k = branch.weights[0]
-    if k.groups != 1 and trace is not None:
+    if k.groups != 1:
         trace.append(TraceStep("as_dense", (k.shape,), _dense_shape(k), 0))
     factors, prefix = [k], [k]
     for w in branch.weights[1:]:
         dense = as_dense(w)
-        if dense is not w and trace is not None:
+        if dense is not w:
             trace.append(TraceStep("as_dense", (w.shape,), dense.shape, 0))
         merged = merge_sequential(prefix[-1], dense)
-        if trace is not None:
-            trace.append(TraceStep("merge_sequential", (_dense_shape(prefix[-1]), dense.shape),
-                                   merged.shape, _seq_merge_mults(prefix[-1], dense)))
+        trace.append(TraceStep("merge_sequential", (_dense_shape(prefix[-1]), dense.shape),
+                               merged.shape, _seq_merge_mults(prefix[-1], dense)))
         factors.append(dense)
         prefix.append(merged)
     prefix[-1] = as_dense(prefix[-1])
-    return factors, prefix
+    folds.append((factors, prefix))
+    return prefix[-1]
+
+
+def _squeeze(block, trace, folds=None):
+    """W_e: each branch's fold (see _fold), scaled, then merged center-aligned."""
+    kernels = []
+    for branch in block.branches:
+        # a fold not kept is freed before its scaled copy is made
+        k = _fold(branch, trace, [] if folds is None else folds)
+        if branch.scaling is not None:
+            k = apply_branch_scaling(k, branch.scaling)
+            trace.append(TraceStep("scale", (k.shape, branch.scaling.shape), k.shape, k.data.size))
+        kernels.append(k)
+    if len(kernels) == 1:
+        return kernels[0]
+    w_e = merge_parallel(kernels)
+    trace.append(TraceStep("merge_parallel", tuple(k.shape for k in kernels), w_e.shape, 0))
+    return w_e
 
 
 def squeeze_branch(branch, trace=None):
     """A branch's fold (see _fold) as one dense kernel, then scaled."""
-    k = _fold(branch, trace)[1][-1]
-    if branch.scaling is not None:
-        scaled = apply_branch_scaling(k, branch.scaling)
-        if trace is not None:
-            trace.append(TraceStep("scale", (k.shape, (len(branch.scaling),)),
-                                   scaled.shape, int(np.prod(k.shape))))
-        k = scaled
-    return k
+    return _squeeze(BlockGraph([branch]), [] if trace is None else trace)
 
 
 def squeeze_block(block):
     """Fold every branch, then merge branches center-aligned."""
     trace = []
-    branch_kernels = [squeeze_branch(b, trace) for b in block.branches]
-    if len(branch_kernels) == 1:
-        kernel = branch_kernels[0]
-    else:
-        kernel = merge_parallel(branch_kernels)
-        trace.append(TraceStep("merge_parallel",
-                               tuple(k.shape for k in branch_kernels), kernel.shape, 0))
+    kernel = _squeeze(block, trace)
     return SqueezeResult(kernel=kernel, effective_k=(kernel.kh, kernel.kw), trace=trace)
 
 

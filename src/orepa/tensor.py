@@ -19,6 +19,8 @@ bits; the weight adjoint sums items and positions block by block.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,14 @@ def np_dtype(name):
     if name not in _DTYPES:
         raise ValueError(f"unsupported dtype {name!r}, expected one of {sorted(_DTYPES)}")
     return np.dtype(_DTYPES[name])
+
+
+def _addressable(shape):
+    """shape, if an f64 array of it fits numpy's index range. numpy refuses
+    a larger one with a ValueError; it is raised here as the MemoryError it is."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise MemoryError(f"an array of shape {tuple(shape)} exceeds the address space")
+    return shape
 
 
 def dtype_name(dt):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orepa import layers as L
 from orepa.blockspec import block_from_spec, load_spec, save_checkpoint
 from orepa.cli import main
 from orepa.okt import read_okt, write_okt
@@ -162,20 +163,26 @@ def _malformed_argv(tmp_path, case):
         (tmp_path / "even.json").write_text(json.dumps(EVEN_BRANCH_SPEC))
         return UNALIGNABLE_SPEC[case](tmp_path / "even.json", tmp_path)
     if case in NON_FINITE_SPEC:
-        (tmp_path / "nonfinite.json").write_text(json.dumps(NON_FINITE_SPEC[case]))
+        (tmp_path / "nonfinite.json").write_text(_json_text(NON_FINITE_SPEC[case]))
         return ["squeeze", tmp_path / "nonfinite.json", "--out", tmp_path / "k.okt"]
-    if case == "checkpoint_nan_weight":
+    if case in NON_FINITE_WEIGHT:
         doc, block = load_spec(spec)
         save_checkpoint(tmp_path / "bad.ckpt", doc, block)
         payload = json.loads((tmp_path / "bad.ckpt").read_text())
-        payload["branches"][0]["layers"][0]["data"][0] = float("nan")
-        (tmp_path / "bad.ckpt").write_text(json.dumps(payload))
+        payload["branches"][0]["layers"][0]["data"][0] = NON_FINITE_WEIGHT[case]
+        (tmp_path / "bad.ckpt").write_text(_json_text(payload))
         return ["analyze", tmp_path / "bad.ckpt", *csvs]
     if case == "unallocatable_weights":
         (tmp_path / "huge.json").write_text(json.dumps(HUGE_SPEC))
         return ["verify", tmp_path / "huge.json", "--trials", 1]
     if case == "unallocatable_input":
         return ["verify", DATA / "single_conv.json", "--trials", 1, "--hw", 4000000, 4000000]
+    if case == "unindexable_weights":
+        (tmp_path / "wide.json").write_text(json.dumps(UNINDEXABLE_SPEC))
+        return ["verify", tmp_path / "wide.json", "--trials", 1]
+    if case in UNINDEXABLE_INPUT:
+        command, *flags = UNINDEXABLE_INPUT[case]
+        return [command, spec, *flags, "--hw", 10 ** 20, 2]
     assert case == "unwritable_report"
     return ["squeeze", spec, "--out", tmp_path / "k.okt", "--json", tmp_path / "no" / "r.json"]
 
@@ -220,26 +227,50 @@ UNALIGNABLE_SPEC = {
 }
 
 
-# specs holding one of the non-standard constants json.load accepts
+# specs holding one of the non-standard constants json.load accepts, or a
+# number literal that overflows to an infinity
 NON_FINITE_SPEC = {
     "spec_nan_theta": {**EVEN_BRANCH_SPEC,
                        "branches": [[{"kind": "conv", "k": 3, "theta": float("nan")}]]},
     "spec_infinite_scaling": {**EVEN_BRANCH_SPEC, "scaling_init": [float("inf")],
                               "branches": [[{"kind": "conv", "k": 3}]]},
+    "spec_overflowing_theta": {**EVEN_BRANCH_SPEC,
+                               "branches": [[{"kind": "conv", "k": 3, "theta": "1e400"}]]},
+    "spec_overflowing_scaling": {**EVEN_BRANCH_SPEC, "scaling_init": ["1e400"],
+                                 "branches": [[{"kind": "conv", "k": 3}]]},
 }
+
+
+def _json_text(doc):
+    """doc as JSON text, each string "1e400" written as that bare literal,
+    which json.dumps cannot write: it would write the float as Infinity."""
+    return json.dumps(doc).replace('"1e400"', "1e400")
 
 
 # inputs whose first large array needs far more than 2^47 bytes (728 and 466 TiB),
 # so that allocating it fails at once whatever the overcommit policy
 HUGE_SPEC = {"in_ch": 10000000, "out_ch": 10000000, "k": 1, "seed": 0, "preset": "orepa1x1"}
 
+# extents whose arrays have more bytes than numpy can index: it raises a
+# ValueError for them, not a MemoryError
+UNINDEXABLE_SPEC = {"in_ch": 2, "out_ch": 2, "k": 10000000000, "seed": 1,
+                    "branches": [[{"kind": "conv"}]]}
+UNINDEXABLE_INPUT = {"unindexable_input": ["verify", "--trials", 1],
+                     "unindexable_gradcheck_input": ["gradcheck"],
+                     "unindexable_train_input": ["train-toy", "--steps", 1]}
+
+# checkpoint weights that are not finite numbers
+NON_FINITE_WEIGHT = {"checkpoint_nan_weight": float("nan"),
+                     "checkpoint_overflowing_weight": "1e400"}
+
 
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
                                   "checkpoint_without_weights", "checkpoint_wrong_shape",
                                   *TRUNCATED_CHECKPOINT, *UNFIT_KERNEL, *BAD_FLAGS,
-                                  *UNALIGNABLE_SPEC, *NON_FINITE_SPEC, "checkpoint_nan_weight",
+                                  *UNALIGNABLE_SPEC, *NON_FINITE_SPEC, *NON_FINITE_WEIGHT,
                                   "unwritable_report",
-                                  "unallocatable_weights", "unallocatable_input"])
+                                  "unallocatable_weights", "unallocatable_input",
+                                  "unindexable_weights", *UNINDEXABLE_INPUT])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     rc = run(_malformed_argv(tmp_path, case))
     err = capsys.readouterr().err
@@ -477,6 +508,27 @@ def test_spec_layer_ignores_keys_its_kind_does_not_read(obj, want):
     spec = block_from_spec(doc).branches[0].layers[0]
     assert (spec.kind, spec.in_ch, spec.out_ch, spec.k, spec.effective_groups,
             spec.expansion) == want
+
+
+# spec layers with init keys: each sets its own field of the kind's default rule
+# only, and init chooses the rule kind (the spec's seed 0 draws the random kernel)
+INIT_KEY_LAYERS = {
+    "scaling_value": ({"kind": "scaling", "value": 0.5}, np.full((4, 1, 1, 1), 0.5)),
+    "avgpool_symmetric": ({"kind": "avgpool", "k": 3, "symmetric": True},
+                          np.full((4, 1, 3, 3), 1 / 9)),
+    "identity_theta": ({"kind": "identity1x1", "theta": 1.0},
+                       np.eye(4).reshape(4, 4, 1, 1)),
+    "scaling_init_theta": ({"kind": "scaling", "init": "kaiming_uniform", "theta": 0.5},
+                           L.materialize(L.LayerSpec("scaling", 4, 4, init=L.kaiming(0.5)),
+                                         0).data),
+}
+
+
+@pytest.mark.parametrize("case", INIT_KEY_LAYERS)
+def test_spec_init_keys_override_only_their_fields(case):
+    obj, want = INIT_KEY_LAYERS[case]
+    doc = {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0, "branches": [[obj]]}
+    assert np.array_equal(block_from_spec(doc).branches[0].weights[0].data, want)
 
 
 def test_spec_branch_width_mismatch_rejected():

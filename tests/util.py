@@ -17,10 +17,14 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+# the kinds a layer that keeps its width draws from
+SQUARE_KINDS = ["conv", "gconv", "identity1x1", "scaling", "avgpool", "freqfilter",
+                "depthwise", "pointwise"]
+
+
 def _random_layer(src, w_in, w_out, ks):
     if w_in == w_out:
-        kind = src.pick(["conv", "gconv", "identity1x1", "scaling", "avgpool",
-                         "freqfilter", "depthwise", "pointwise"])
+        kind = src.pick(src.square_kinds)
     else:
         kind = src.pick(["conv", "pointwise"])
     k = int(src.pick(ks))
@@ -46,7 +50,8 @@ def _random_layer(src, w_in, w_out, ks):
 
 def _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_ch, ks):
     """A block drawn from src: ints(lo, hi), width(max_ch, prev) and
-    pick(options) choose its structure, value() a scaling layer's value,
+    pick(options) choose its structure, from square_kinds where a layer
+    keeps its width, value() a scaling layer's value,
     scaling(out_ch) a branch scaling or None; weight_rng materializes the
     kernels."""
     in_ch = src.width(max_ch, None)
@@ -70,6 +75,7 @@ def make_random_block(seed, max_branches=6, max_depth=3, max_ch=8, ks=(1, 3, 5),
     ints = lambda lo, hi: int(rng.integers(lo, hi + 1))  # noqa: E731
     src = SimpleNamespace(
         ints=ints, width=lambda max_ch, prev: ints(1, max_ch), pick=rng.choice,
+        square_kinds=SQUARE_KINDS,
         value=lambda: float(rng.uniform(0.3, 1.2)),
         scaling=lambda c: (rng.uniform(0.3, 1.2, size=c)
                            if with_scaling and rng.random() < 0.8 else None))
@@ -81,12 +87,18 @@ def block_graphs(draw, max_branches=4, max_depth=3, max_ch=6, ks=(1, 2, 3, 4, 5)
     """Hypothesis strategy for BlockGraphs: every layer kind, grouped
     convolutions, odd and even extents, f64 and f32, strides 1 and 2, with
     and without branch scalings. A width often repeats the one before it,
-    so that the channel-wise kinds, which keep their width, get drawn."""
+    so that the channel-wise kinds, which keep their width, get drawn. Some
+    blocks hold only grouped convs at one composite width, 4 or 6, so that
+    groups strictly between 1 and the width come up often: a grouped first
+    layer merges in its native layout (merge_sequential), and a grouped
+    later layer gets its gradient from its dense expansion's."""
+    composite = draw(st.sampled_from([None, None] + [w for w in (4, 6) if w <= max_ch]))
     src = SimpleNamespace(
         ints=lambda lo, hi: draw(st.integers(lo, hi)),
-        width=lambda max_ch, prev: draw(st.integers(1, max_ch) if prev is None
-                                        else st.just(prev) | st.integers(1, max_ch)),
+        width=lambda max_ch, prev: composite or draw(
+            st.integers(1, max_ch) if prev is None else st.just(prev) | st.integers(1, max_ch)),
         pick=lambda options: draw(st.sampled_from(list(options))),
+        square_kinds=SQUARE_KINDS if composite is None else ["gconv"],
         value=lambda: draw(st.floats(0.3, 1.2)),
         scaling=lambda c: draw(st.none() | st.lists(st.floats(0.3, 1.2),
                                                     min_size=c, max_size=c)))
