@@ -1,7 +1,8 @@
 """Preset training-time block topologies and the linearization transform.
 
 A preset is data: its k rule, its branch names in order and its default
-dw_pw expansion. Each branch name has one recipe for its layers. Branch
+dw_pw expansion. Each branch name has one recipe for its layers, written as
+the spec layer objects a block-spec file holds, so a preset is a spec. Branch
 order inside each preset is fixed so scaling-init vectors and
 similarity-matrix indices stay reproducible across runs.
 """
@@ -24,20 +25,29 @@ SCALING_INIT = {
     "dw_pw": 0.5,
 }
 
-# Each named branch's layers from (in_ch, out_ch, k, internal_ch, expansion).
-# The 1x1 convolutions feeding the pooling and filtering branches start as
-# identity layers so those branches begin as a pure pool / filter; the one
-# feeding the kxk branch starts random. An empty recipe drops the branch.
+# Each named branch's spec layer objects (see layers.layer_specs) from
+# (out_ch, internal_ch, expansion, in_ch == out_ch); a layer without k takes
+# the block's k. The 1x1 convolutions feeding the pooling and filtering
+# branches start as identity layers so those branches begin as a pure pool /
+# filter; the one feeding the kxk branch starts random. An empty recipe drops
+# the branch.
 RECIPES = {
-    "1x1": lambda i, o, k, mid, e: [L.conv(i, o, 1)],
-    "kxk": lambda i, o, k, mid, e: [L.conv(i, o, k)],
-    "1x1_kxk": lambda i, o, k, mid, e: [L.conv(i, mid, 1), L.conv(mid, o, k)],
-    "1x1_pool": lambda i, o, k, mid, e: [L.identity_1x1(i, o), L.avg_pool(o, k)],
-    "1x1_filter": lambda i, o, k, mid, e: [L.identity_1x1(i, o), L.freq_filter(o, k)],
-    "dw_pw": lambda i, o, k, mid, e: [L.depthwise(i, k, expansion=e), L.pointwise(i * e, o)],
-    "stem": lambda i, o, k, mid, e: [L.conv(i, mid, k), L.conv(mid, mid, k), L.conv(mid, o, k)],
-    "vgg_identity": lambda i, o, k, mid, e: [L.identity_1x1(i, trainable=False)] if i == o else [],
-    "vgg_1x1": lambda i, o, k, mid, e: [L.conv(i, o, 1)],
+    "1x1": lambda o, mid, e, same: [{"kind": "conv", "out_ch": o, "k": 1}],
+    "kxk": lambda o, mid, e, same: [{"kind": "conv", "out_ch": o}],
+    "1x1_kxk": lambda o, mid, e, same: [{"kind": "conv", "out_ch": mid, "k": 1},
+                                        {"kind": "conv", "out_ch": o}],
+    "1x1_pool": lambda o, mid, e, same: [{"kind": "identity1x1", "out_ch": o},
+                                         {"kind": "avgpool"}],
+    "1x1_filter": lambda o, mid, e, same: [{"kind": "identity1x1", "out_ch": o},
+                                           {"kind": "freqfilter"}],
+    "dw_pw": lambda o, mid, e, same: [{"kind": "depthwise", "expansion": e},
+                                      {"kind": "pointwise", "out_ch": o}],
+    "stem": lambda o, mid, e, same: [{"kind": "conv", "out_ch": mid},
+                                     {"kind": "conv", "out_ch": mid},
+                                     {"kind": "conv", "out_ch": o}],
+    "vgg_identity": lambda o, mid, e, same: [{"kind": "identity1x1", "trainable": False}]
+                                            if same else [],
+    "vgg_1x1": lambda o, mid, e, same: [{"kind": "conv", "out_ch": o, "k": 1}],
 }
 
 ODD_K = "odd and >= 3"
@@ -77,7 +87,8 @@ def build_preset(preset, in_ch, out_ch, k=3, dtype="f64", seed=0, stride=(1, 1),
     if expansion is not None and expansion < 1:
         raise ShapeError("expansion", ">= 1, or None for the preset default", expansion)
     e = default_expansion if expansion is None else expansion
-    recipes = [(name, RECIPES[name](in_ch, out_ch, k, mid, e)) for name in names]
+    recipes = [(name, L.layer_specs(RECIPES[name](out_ch, mid, e, in_ch == out_ch), in_ch, k))
+               for name in names]
     branches = [build_branch(specs, rng, dtype=dtype, name=name,
                              scaling=_gamma(name, out_ch),
                              scaling_trainable=not frozen_scaling)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -19,7 +18,7 @@ import numpy as np
 from . import layers as L
 from .blocks import build_preset
 from .squeeze import BlockGraph, MergeError, build_branch, check_center_alignable
-from .tensor import ConvGeometry, KernelTensor
+from .tensor import ConvGeometry, KernelTensor, ShapeError
 
 
 class SpecError(ValueError):
@@ -48,36 +47,21 @@ def validate_spec(doc):
         raise SpecError(f"spec validation failed: {exc.message}") from exc
 
 
-# The shape keys each layer kind reads; it ignores any other shape key.
-# A kind that reads k defaults it to the block's k, every other kind is 1x1.
-LAYER_KEYS = {"conv": ("out_ch", "k", "groups"), "identity1x1": ("out_ch", "groups"),
-              "scaling": (), "avgpool": ("k",), "freqfilter": ("k",),
-              "depthwise": ("k", "expansion"), "pointwise": ("out_ch",)}
-# The InitRule field each init key sets; the others keep the kind's default rule.
-_INIT_FIELDS = {"init": "kind", "theta": "theta", "value": "value", "symmetric": "symmetric"}
-
-
-def _layer_from_obj(obj, in_ch, default_k):
-    kind = obj["kind"]
-    reads = LAYER_KEYS.get(kind, ())
-    shape = {key: obj[key] for key in reads if key in obj}
-    if "k" in reads:
-        shape.setdefault("k", default_k)
-    # a layer without out_ch keeps its width, times a depthwise expansion
-    out_ch = shape.pop("out_ch", None) or in_ch * shape.get("expansion", 1)
-    spec = L.LayerSpec(kind, in_ch, out_ch, trainable=obj.get("trainable"), **shape)
-    rule = {field: obj[key] for key, field in _INIT_FIELDS.items() if key in obj}
-    return replace(spec, init=replace(spec.init, **rule))
-
-
 def block_from_spec(doc):
     """Validate a parsed spec document and build its BlockGraph.
 
-    dtype defaults to f64; f32 is opt-in via the spec file.
+    dtype defaults to f64; f32 is opt-in via the spec file. A block that
+    cannot be built from a valid document is a SpecError too.
     """
     validate_spec(doc)
-    dtype = doc.get("dtype", "f64")
-    seed = doc["seed"]
+    try:
+        return _build_block(doc)
+    except (ShapeError, MergeError, OverflowError) as exc:
+        raise SpecError(f"spec cannot be built: {exc}") from exc
+
+
+def _build_block(doc):
+    dtype, seed = doc.get("dtype", "f64"), doc["seed"]
     if "preset" in doc:
         opts = doc.get("options", {})
         return build_preset(doc["preset"], doc["in_ch"], doc["out_ch"], k=doc["k"],
@@ -88,31 +72,21 @@ def block_from_spec(doc):
                             frozen_scaling=opts.get("frozen_scaling", False))
     rng = np.random.default_rng(seed)
     scaling_init = doc.get("scaling_init")
+    if scaling_init is not None and len(scaling_init) != len(doc["branches"]):
+        raise SpecError("scaling_init length must equal branch count")
     branches = []
     for bi, layer_objs in enumerate(doc["branches"]):
-        specs = []
-        width = doc["in_ch"]
-        for obj in layer_objs:
-            spec = _layer_from_obj(obj, width, doc["k"])
-            specs.append(spec)
-            width = spec.out_ch
-        if width != doc["out_ch"]:
-            raise SpecError(f"branch {bi} ends at {width} channels, "
+        specs = L.layer_specs(layer_objs, doc["in_ch"], doc["k"])
+        if specs[-1].out_ch != doc["out_ch"]:
+            raise SpecError(f"branch {bi} ends at {specs[-1].out_ch} channels, "
                             f"block out_ch is {doc['out_ch']}")
-        scaling = None
-        if scaling_init is not None:
-            if len(scaling_init) != len(doc["branches"]):
-                raise SpecError("scaling_init length must equal branch count")
-            scaling = np.full(doc["out_ch"], float(scaling_init[bi]))
+        scaling = None if scaling_init is None else np.full(doc["out_ch"], float(scaling_init[bi]))
         branches.append(build_branch(specs, rng, dtype=dtype, scaling=scaling,
                                      name=f"branch{bi}"))
     # the schema's post-addition-norm key is accepted and ignored: nothing reads it
     block = BlockGraph(branches=branches,
                        output_geometry=ConvGeometry(stride=tuple(doc.get("stride", (1, 1)))))
-    try:
-        check_center_alignable(block)
-    except MergeError as exc:
-        raise SpecError(f"branches cannot be merged: {exc}") from exc
+    check_center_alignable(block)
     return block
 
 
@@ -189,6 +163,6 @@ def load_checkpoint(path):
                                             dtype=branch.weights[-1].data.dtype)
     except SpecError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed checkpoint {path}: {exc!r}") from exc
     return doc, block

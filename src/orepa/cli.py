@@ -3,10 +3,10 @@ train-toy, analyze.
 
 Each command prints its table and returns (spec doc, report body, verdict);
 main alone writes the report and picks the exit code. Exit codes: 0 pass,
-1 invariant violation, 2 usage, spec, checkpoint, kernel-file (including a
-kernel that does not fit the spec), file-system error or an input too large
-to allocate, 3 internal error (a merge/shape error, or any other exception
-with its traceback). Reports are deterministic for a given (spec, seed,
+1 invariant violation, 2 usage, spec (including one no block can be built
+from), checkpoint, kernel-file (including a kernel that does not fit the
+spec), file-system error or an input too large to allocate, 3 internal
+error (a merge/shape error, or any other exception with its traceback). Reports are deterministic for a given (spec, seed,
 flags); no timestamps are emitted, and a NaN or infinite number is written
 as null.
 """

@@ -14,18 +14,31 @@ one algebra:
 
 conv and identity default to trainable, avgpool and freqfilter are fixed,
 scaling is trainable by default (freezable).
+
+A branch is written as spec layer objects, the layer items of
+schemas/blockspec-1.json, and `layer_specs` turns them into LayerSpecs:
+spec files and the preset recipes both build through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .tensor import KernelTensor, ShapeError, _addressable, np_dtype
 
-KINDS = ("conv", "identity1x1", "scaling", "avgpool", "freqfilter", "depthwise", "pointwise")
+# The shape keys each layer kind reads from a spec layer object; it ignores
+# any other shape key. A kind that reads k defaults it to the block's k,
+# every other kind is 1x1.
+LAYER_KEYS = {"conv": ("out_ch", "k", "groups"), "identity1x1": ("out_ch", "groups"),
+              "scaling": (), "avgpool": ("k",), "freqfilter": ("k",),
+              "depthwise": ("k", "expansion"), "pointwise": ("out_ch",)}
+# The InitRule field each init key sets; the others keep the kind's default rule.
+_INIT_FIELDS = {"init": "kind", "theta": "theta", "value": "value", "symmetric": "symmetric"}
+
+KINDS = tuple(LAYER_KEYS)
 
 CHANNELWISE_KINDS = ("scaling", "avgpool", "freqfilter")
 
@@ -46,14 +59,6 @@ class InitRule:
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.theta <= 0:
             raise ValueError("theta must be > 0")
-
-
-def kaiming(theta=DEFAULT_THETA, symmetric=False):
-    return InitRule("kaiming_uniform", theta=theta, symmetric=symmetric)
-
-
-def constant(value):
-    return InitRule("constant", value=value)
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ class LayerSpec:
         if self.out_ch % self.effective_groups != 0:
             raise ShapeError("out_ch", f"divisible by groups={self.effective_groups}", self.out_ch)
         if self.init is None:
-            object.__setattr__(self, "init", _default_init(self.kind))
+            object.__setattr__(self, "init", _DEFAULT_INIT[self.kind])
         if self.trainable is None:
             object.__setattr__(self, "trainable", self.kind not in ("avgpool", "freqfilter"))
 
@@ -101,46 +106,31 @@ class LayerSpec:
         return (self.out_ch, self.in_ch // g, self.k, self.k)
 
 
-def _default_init(kind):
-    return {
-        "conv": kaiming(),
-        "identity1x1": InitRule("identity"),
-        "scaling": constant(1.0),
-        "avgpool": InitRule("avgpool"),
-        "freqfilter": InitRule("dct"),
-        "depthwise": kaiming(),
-        "pointwise": kaiming(),
-    }[kind]
+_DEFAULT_INIT = {"conv": InitRule(), "identity1x1": InitRule("identity"),
+                 "scaling": InitRule("constant"), "avgpool": InitRule("avgpool"),
+                 "freqfilter": InitRule("dct"), "depthwise": InitRule(), "pointwise": InitRule()}
 
 
-def conv(in_ch, out_ch, k, groups=1, init=None, trainable=True):
-    return LayerSpec("conv", in_ch, out_ch, k=k, groups=groups, init=init, trainable=trainable)
-
-
-def identity_1x1(in_ch, out_ch=None, groups=1, trainable=True):
-    return LayerSpec("identity1x1", in_ch, out_ch if out_ch is not None else in_ch,
-                     groups=groups, trainable=trainable)
-
-
-def scaling(ch, value=1.0, trainable=True):
-    return LayerSpec("scaling", ch, ch, init=constant(value), trainable=trainable)
-
-
-def avg_pool(ch, k):
-    return LayerSpec("avgpool", ch, ch, k=k)
-
-
-def freq_filter(ch, k):
-    return LayerSpec("freqfilter", ch, ch, k=k)
-
-
-def depthwise(ch, k, expansion=1, init=None, trainable=True):
-    return LayerSpec("depthwise", ch, ch * expansion, k=k, expansion=expansion,
-                     init=init, trainable=trainable)
-
-
-def pointwise(in_ch, out_ch, init=None, trainable=True):
-    return LayerSpec("pointwise", in_ch, out_ch, init=init, trainable=trainable)
+def layer_specs(objs, in_ch, default_k):
+    """The LayerSpecs of one branch from its spec layer objects, chained from
+    in_ch: a layer without out_ch keeps its width, times a depthwise
+    expansion."""
+    specs = []
+    for obj in objs:
+        kind = obj["kind"]
+        reads = LAYER_KEYS.get(kind, ())
+        shape = {key: obj[key] for key in reads if key in obj}
+        if "k" in reads:
+            shape.setdefault("k", default_k)
+        # an explicit out_ch of 0 reaches LayerSpec, which refuses it
+        out_ch = shape.pop("out_ch") if "out_ch" in shape else in_ch * shape.get("expansion", 1)
+        spec = LayerSpec(kind, in_ch, out_ch, trainable=obj.get("trainable"), **shape)
+        rule = {attr: obj[key] for key, attr in _INIT_FIELDS.items() if key in obj}
+        if rule:
+            spec = replace(spec, init=replace(spec.init, **rule))
+        specs.append(spec)
+        in_ch = spec.out_ch
+    return specs
 
 
 def materialize(spec, rng, dtype="f64"):

@@ -173,7 +173,7 @@ def test_criterion_7_trajectory_equivalence():
                    for a, b in zip(on["params"], off["params"]))
     decreasing = all(a > b for a, b in zip(on["losses"], on["losses"][1:]))
 
-    branch = build_branch([L.conv(1, 1, 3)], np.random.default_rng(42),
+    branch = build_branch([L.LayerSpec("conv", 1, 1, k=3)], np.random.default_rng(42),
                           scaling=np.ones(1), name="kxk")
     single = BlockGraph(branches=[branch])
     target = KernelTensor(np.random.default_rng(0).standard_normal((1, 1, 3, 3)) * 0.3)
@@ -186,16 +186,16 @@ def test_criterion_7_trajectory_equivalence():
 
 
 def test_criterion_8_catalog_fidelity():
-    pool = L.materialize(L.avg_pool(3, 2), 0)
+    pool = L.materialize(L.LayerSpec("avgpool", 3, 3, k=2), 0)
     pool_ok = np.array_equal(pool.data, np.full((3, 1, 2, 2), 0.25))
 
-    ident = L.materialize(L.identity_1x1(2), 0)
+    ident = L.materialize(L.LayerSpec("identity1x1", 2, 2), 0)
     ident_ok = np.array_equal(ident.data[:, :, 0, 0], np.eye(2))
 
-    filt = L.materialize(L.freq_filter(5, 3), 0)
+    filt = L.materialize(L.LayerSpec("freqfilter", 5, 5, k=3), 0)
     filt_gap = float(np.max(np.abs(filt.data - freq_filter_loop(5, 3, 3))))
 
-    gamma = L.materialize(L.scaling(4, value=0.3), 0)
+    gamma = L.materialize(L.LayerSpec("scaling", 4, 4, init=L.InitRule("constant", value=0.3)), 0)
     scal_ok = np.array_equal(gamma.data[:, 0, 0, 0], np.full(4, 0.3)) and \
         np.count_nonzero(gamma.data) == 4
 

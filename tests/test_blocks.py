@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from orepa import layers as L
-from orepa.blocks import PRESETS, SCALING_INIT, build_preset, linearize
+from orepa.blocks import PRESET_TABLE, PRESETS, RECIPES, SCALING_INIT, build_preset, linearize
+from orepa.blockspec import block_from_spec, validate_spec
 from orepa.dynamics import ParamSet
 from orepa.squeeze import BlockGraph, build_branch, squeeze_block
 from orepa.tensor import ShapeError
@@ -93,7 +94,7 @@ def test_preset_invalid_k():
 
 def test_linearize_adds_unit_scaling():
     rng = np.random.default_rng(0)
-    branch = build_branch([L.conv(2, 3, 3)], rng, name="mystery")
+    branch = build_branch([L.LayerSpec("conv", 2, 3, k=3)], rng, name="mystery")
     block = BlockGraph(branches=[branch])
     lin = linearize(block)
     np.testing.assert_array_equal(lin.branches[0].scaling, np.ones(3))
@@ -101,10 +102,11 @@ def test_linearize_adds_unit_scaling():
 
 def test_linearize_named_branches_get_catalog_defaults():
     rng = np.random.default_rng(0)
-    defs = [("kxk", [L.conv(2, 4, 3)]), ("1x1", [L.conv(2, 4, 1)]),
-            ("1x1_kxk", [L.conv(2, 4, 1), L.conv(4, 4, 3)]),
-            ("1x1_pool", [L.identity_1x1(2, 4), L.avg_pool(4, 3)])]
-    branches = [build_branch(s, rng, name=n) for n, s in defs]
+    defs = [("kxk", [{"kind": "conv", "out_ch": 4}]),
+            ("1x1", [{"kind": "conv", "out_ch": 4, "k": 1}]),
+            ("1x1_kxk", [{"kind": "conv", "out_ch": 4, "k": 1}, {"kind": "conv"}]),
+            ("1x1_pool", [{"kind": "identity1x1", "out_ch": 4}, {"kind": "avgpool"}])]
+    branches = [build_branch(L.layer_specs(objs, 2, 3), rng, name=n) for n, objs in defs]
     lin = linearize(BlockGraph(branches=branches))
     got = [float(b.scaling[0]) for b in lin.branches]
     assert got == [SCALING_INIT["kxk"], SCALING_INIT["1x1"],
@@ -119,7 +121,7 @@ def test_linearize_named_branches_get_catalog_defaults():
 
 def test_linearize_idempotent():
     rng = np.random.default_rng(0)
-    branch = build_branch([L.conv(2, 2, 3)], rng, name="kxk")
+    branch = build_branch([L.LayerSpec("conv", 2, 2, k=3)], rng, name="kxk")
     once = linearize(BlockGraph(branches=[branch]))
     twice = linearize(once)
     np.testing.assert_array_equal(twice.branches[0].scaling, once.branches[0].scaling)
@@ -214,6 +216,42 @@ def preset_digests():
 def test_preset_builds_match_golden():
     want = json.loads((GOLDEN / "presets.json").read_text())
     assert preset_digests() == want
+
+
+def _preset_spec(preset, k, in_ch, out_ch, dtype, expansion=None, internal_ch=None,
+                 stride=(1, 1)):
+    """A preset build written as a spec document: its recipes' layer objects
+    and the SCALING_INIT of each branch a recipe does not drop."""
+    _, names, default_expansion = PRESET_TABLE[preset]
+    mid = out_ch if internal_ch is None else internal_ch
+    e = default_expansion if expansion is None else expansion
+    recipes = [(name, RECIPES[name](out_ch, mid, e, in_ch == out_ch)) for name in names]
+    kept = [(name, objs) for name, objs in recipes if objs]
+    doc = {"in_ch": in_ch, "out_ch": out_ch, "k": k, "dtype": dtype, "seed": 11,
+           "stride": stride, "branches": [objs for _, objs in kept],
+           "scaling_init": [SCALING_INIT.get(name, 1.0) for name, _ in kept]}
+    return json.loads(json.dumps(doc))
+
+
+PRESET_SPEC_CASES = [(p, k, i, o, dt, {}) for p, k in PRESET_KS
+                     for i, o in ((4, 4), (3, 5)) for dt in ("f64", "f32")]
+PRESET_SPEC_CASES.append(("orepavgg", 3, 4, 4, "f64",
+                          {"expansion": 2, "internal_ch": 3, "stride": (2, 1)}))
+
+
+@pytest.mark.parametrize("preset,k,in_ch,out_ch,dtype,opts", PRESET_SPEC_CASES)
+def test_preset_is_the_spec_of_its_recipes(preset, k, in_ch, out_ch, dtype, opts):
+    doc = _preset_spec(preset, k, in_ch, out_ch, dtype, **opts)
+    validate_spec(doc)
+    got = block_from_spec(doc)
+    want = build_preset(preset, in_ch, out_ch, k, dtype=dtype, seed=11, **opts)
+    assert got.output_geometry == want.output_geometry
+    assert len(got.branches) == len(want.branches)
+    for g, w in zip(got.branches, want.branches):
+        assert g.layers == w.layers
+        assert [x.data.tobytes() for x in g.weights] == [x.data.tobytes() for x in w.weights]
+        assert g.scaling.dtype == w.scaling.dtype
+        assert g.scaling.tobytes() == w.scaling.tobytes()
 
 
 if __name__ == "__main__":

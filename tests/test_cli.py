@@ -16,6 +16,7 @@ from orepa.tensor import KernelTensor
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "blockspec-1.json"
 
 
 def run(args):
@@ -120,6 +121,10 @@ MALFORMED_OKT = {
     "header_not_object": _okt_bytes([1, 2]),
     "zero_extent": _okt_bytes({"dtype": "f64", "shape": [0, 1, 1, 1], "layout": "OIHW",
                                "groups": 1}),
+    "unknown_layout": _okt_bytes({"dtype": "f64", "shape": [1, 1, 1, 1], "layout": "HWIO",
+                                  "groups": 1}),
+    "groups_not_dividing": _okt_bytes({"dtype": "f64", "shape": [4, 1, 3, 3], "layout": "OIHW",
+                                       "groups": 3}),
 }
 
 
@@ -134,10 +139,11 @@ def _malformed_argv(tmp_path, case):
     if case == "garbage_checkpoint":
         (tmp_path / "bad.ckpt").write_text("{not json")
         return ["analyze", tmp_path / "bad.ckpt", *csvs]
-    if case == "checkpoint_without_weights":
-        doc = json.loads(spec.read_text())
-        (tmp_path / "bad.ckpt").write_text(json.dumps({"format": "orepa-ckpt-1",
-                                                       "blockspec": doc}))
+    if case in PARTIAL_CHECKPOINT:
+        payload = {"format": "orepa-ckpt-1", "blockspec": json.loads(spec.read_text()),
+                   "branches": []}
+        del payload[PARTIAL_CHECKPOINT[case]]
+        (tmp_path / "bad.ckpt").write_text(json.dumps(payload))
         return ["analyze", tmp_path / "bad.ckpt", *csvs]
     if case == "checkpoint_wrong_shape":
         doc, block = load_spec(spec)
@@ -162,6 +168,9 @@ def _malformed_argv(tmp_path, case):
     if case in UNALIGNABLE_SPEC:
         (tmp_path / "even.json").write_text(json.dumps(EVEN_BRANCH_SPEC))
         return UNALIGNABLE_SPEC[case](tmp_path / "even.json", tmp_path)
+    if case in UNBUILDABLE_SPEC:
+        (tmp_path / "unbuildable.json").write_text(json.dumps(UNBUILDABLE_SPEC[case]))
+        return ["verify", tmp_path / "unbuildable.json", "--trials", 1]
     if case in NON_FINITE_SPEC:
         (tmp_path / "nonfinite.json").write_text(_json_text(NON_FINITE_SPEC[case]))
         return ["squeeze", tmp_path / "nonfinite.json", "--out", tmp_path / "k.okt"]
@@ -186,6 +195,11 @@ def _malformed_argv(tmp_path, case):
     assert case == "unwritable_report"
     return ["squeeze", spec, "--out", tmp_path / "k.okt", "--json", tmp_path / "no" / "r.json"]
 
+
+# checkpoints of orepa3x3.json without one top-level key
+PARTIAL_CHECKPOINT = {"checkpoint_without_weights": "branches",
+                      "checkpoint_without_format": "format",
+                      "checkpoint_without_blockspec": "blockspec"}
 
 # checkpoints of orepa3x3.json that lost part of what the spec builds
 TRUNCATED_CHECKPOINT = {
@@ -227,8 +241,19 @@ UNALIGNABLE_SPEC = {
 }
 
 
+# schema-valid specs that no block can be built from
+UNBUILDABLE_SPEC = {
+    "spec_groups_not_dividing": {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0,
+                                 "branches": [[{"kind": "conv", "groups": 3}]]},
+    "preset_even_k": {"in_ch": 4, "out_ch": 4, "k": 4, "seed": 0, "preset": "orepa3x3"},
+    "preset_1x1_with_k3": {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0, "preset": "orepa1x1"},
+    "spec_scaling_init_too_short": {**EVEN_BRANCH_SPEC, "scaling_init": [1.0]},
+}
+
+
 # specs holding one of the non-standard constants json.load accepts, or a
-# number literal that overflows to an infinity
+# number literal that overflows to an infinity or is an integer too large
+# for a float
 NON_FINITE_SPEC = {
     "spec_nan_theta": {**EVEN_BRANCH_SPEC,
                        "branches": [[{"kind": "conv", "k": 3, "theta": float("nan")}]]},
@@ -238,6 +263,10 @@ NON_FINITE_SPEC = {
                                "branches": [[{"kind": "conv", "k": 3, "theta": "1e400"}]]},
     "spec_overflowing_scaling": {**EVEN_BRANCH_SPEC, "scaling_init": ["1e400"],
                                  "branches": [[{"kind": "conv", "k": 3}]]},
+    "spec_huge_integer_theta": {**EVEN_BRANCH_SPEC,
+                                "branches": [[{"kind": "conv", "k": 3, "theta": 10 ** 400}]]},
+    "spec_huge_integer_scaling": {**EVEN_BRANCH_SPEC, "scaling_init": [10 ** 400],
+                                  "branches": [[{"kind": "conv", "k": 3}]]},
 }
 
 
@@ -261,13 +290,15 @@ UNINDEXABLE_INPUT = {"unindexable_input": ["verify", "--trials", 1],
 
 # checkpoint weights that are not finite numbers
 NON_FINITE_WEIGHT = {"checkpoint_nan_weight": float("nan"),
-                     "checkpoint_overflowing_weight": "1e400"}
+                     "checkpoint_overflowing_weight": "1e400",
+                     "checkpoint_huge_integer_weight": 10 ** 400}
 
 
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
-                                  "checkpoint_without_weights", "checkpoint_wrong_shape",
+                                  *PARTIAL_CHECKPOINT, "checkpoint_wrong_shape",
                                   *TRUNCATED_CHECKPOINT, *UNFIT_KERNEL, *BAD_FLAGS,
-                                  *UNALIGNABLE_SPEC, *NON_FINITE_SPEC, *NON_FINITE_WEIGHT,
+                                  *UNALIGNABLE_SPEC, *UNBUILDABLE_SPEC, *NON_FINITE_SPEC,
+                                  *NON_FINITE_WEIGHT,
                                   "unwritable_report",
                                   "unallocatable_weights", "unallocatable_input",
                                   "unindexable_weights", *UNINDEXABLE_INPUT])
@@ -519,7 +550,7 @@ INIT_KEY_LAYERS = {
     "identity_theta": ({"kind": "identity1x1", "theta": 1.0},
                        np.eye(4).reshape(4, 4, 1, 1)),
     "scaling_init_theta": ({"kind": "scaling", "init": "kaiming_uniform", "theta": 0.5},
-                           L.materialize(L.LayerSpec("scaling", 4, 4, init=L.kaiming(0.5)),
+                           L.materialize(L.LayerSpec("scaling", 4, 4, init=L.InitRule(theta=0.5)),
                                          0).data),
 }
 
@@ -552,5 +583,12 @@ def test_cli_entry_point_subprocess(tmp_path):
 
 def test_repo_schema_matches_package_schema():
     from orepa.blockspec import load_schema
-    repo = Path(__file__).resolve().parents[1] / "schemas" / "blockspec-1.json"
-    assert json.loads(repo.read_text()) == load_schema()
+    assert json.loads(SCHEMA.read_text()) == load_schema()
+
+
+def test_layer_keys_match_the_schema_layer_object():
+    layer = json.loads(SCHEMA.read_text())["properties"]["branches"]["items"]["items"]
+    assert L.KINDS == tuple(layer["properties"]["kind"]["enum"])
+    read = {"kind", "trainable", *L._INIT_FIELDS,
+            *(key for keys in L.LAYER_KEYS.values() for key in keys)}
+    assert read == set(layer["properties"])

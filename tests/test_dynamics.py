@@ -47,7 +47,8 @@ def test_paramset_round_trip():
 
 def test_paramset_scaling_layer_exposes_diagonal():
     rng = np.random.default_rng(1)
-    branch = build_branch([L.conv(2, 2, 3), L.scaling(2, value=0.5)], rng)
+    specs = L.layer_specs([{"kind": "conv"}, {"kind": "scaling", "value": 0.5}], 2, 3)
+    branch = build_branch(specs, rng)
     block = BlockGraph(branches=[branch])
     ps = ParamSet(block)
     entry = [e for e in ps.entries if e.kind == "scaling"][0]
@@ -61,7 +62,7 @@ def test_paramset_scaling_layer_exposes_diagonal():
 # --------------------------------------------------------------------------
 
 def _scalar_block(w_val, gamma_val):
-    spec = L.conv(1, 1, 1)
+    spec = L.LayerSpec("conv", 1, 1)
     kern = KernelTensor(np.full((1, 1, 1, 1), w_val))
     branch = build_branch([spec], np.random.default_rng(0),
                           scaling=np.array([gamma_val]))
@@ -181,8 +182,9 @@ def _offline_block(name):
     rng = np.random.default_rng(21)
     if name == "grouped_last":
         block = BlockGraph(branches=[
-            build_branch([L.conv(4, 4, 1), L.conv(4, 4, 3, groups=2)], rng),
-            build_branch([L.depthwise(4, 3)], rng)])
+            build_branch(L.layer_specs([{"kind": "conv", "k": 1}, {"kind": "conv", "groups": 2}],
+                                      4, 3), rng),
+            build_branch([L.LayerSpec("depthwise", 4, 4, k=3)], rng)])
     else:
         stride = (2, 2) if name == "orepa3x3_stride2" else (1, 1)
         block = build_preset("orepa3x3", 2, 2, 3, seed=4, stride=stride)
@@ -538,7 +540,7 @@ def test_branchwise_gradient_gap_reported():
 
 def test_identical_branches_stay_identical_forever():
     # two branches with equal starts receive equal gradients every step
-    spec = L.conv(2, 2, 3)
+    spec = L.LayerSpec("conv", 2, 2, k=3)
     w0 = L.materialize(spec, 7)
     branches = [build_branch([spec], np.random.default_rng(0), scaling=np.full(2, 0.5),
                              name=f"t{i}") for i in range(2)]
@@ -625,7 +627,7 @@ def test_train_toy_online_offline_trajectories_agree():
 
 def test_train_toy_single_conv_converges():
     rng = np.random.default_rng(0)
-    branch = build_branch([L.conv(1, 1, 3)], np.random.default_rng(42),
+    branch = build_branch([L.LayerSpec("conv", 1, 1, k=3)], np.random.default_rng(42),
                           scaling=np.ones(1), name="kxk")
     block = BlockGraph(branches=[branch])
     target = KernelTensor(rng.standard_normal((1, 1, 3, 3)) * 0.3)
@@ -638,7 +640,7 @@ def test_train_toy_single_conv_converges():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_toy_divergence_reported():
-    branch = build_branch([L.conv(1, 1, 3)], np.random.default_rng(0),
+    branch = build_branch([L.LayerSpec("conv", 1, 1, k=3)], np.random.default_rng(0),
                           scaling=np.ones(1))
     block = BlockGraph(branches=[branch])
     target = KernelTensor(np.zeros((1, 1, 3, 3)))
@@ -658,7 +660,7 @@ def test_train_toy_rejects_bad_target_geometry():
 # --------------------------------------------------------------------------
 
 def test_similarity_identical_branches():
-    spec = L.conv(2, 2, 3)
+    spec = L.LayerSpec("conv", 2, 2, k=3)
     w = L.materialize(spec, 3)
     branches = [build_branch([spec], np.random.default_rng(0), scaling=np.ones(2))
                 for _ in range(2)]
@@ -674,7 +676,7 @@ def test_similarity_orthogonal_one_hot():
     a[0, 0, 0, 0] = 1.0
     b = np.zeros((1, 1, 3, 3))
     b[0, 0, 2, 2] = 1.0
-    spec = L.conv(1, 1, 3)
+    spec = L.LayerSpec("conv", 1, 1, k=3)
     b1 = build_branch([spec], np.random.default_rng(0))
     b2 = build_branch([spec], np.random.default_rng(0))
     b1.weights[0] = KernelTensor(a)
@@ -684,7 +686,7 @@ def test_similarity_orthogonal_one_hot():
 
 
 def test_similarity_zero_norm_branch():
-    spec = L.conv(1, 1, 3)
+    spec = L.LayerSpec("conv", 1, 1, k=3)
     b1 = build_branch([spec], np.random.default_rng(1))
     b2 = build_branch([spec], np.random.default_rng(2))
     b2.weights[0] = KernelTensor(np.zeros((1, 1, 3, 3)))

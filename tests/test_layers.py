@@ -10,19 +10,19 @@ from oracles import conv2d_loop, freq_filter_loop
 
 
 def test_avgpool_taps():
-    w = L.materialize(L.avg_pool(3, 2), 0)
+    w = L.materialize(L.LayerSpec("avgpool", 3, 3, k=2), 0)
     assert w.shape == (3, 1, 2, 2)
     assert w.groups == 3
     np.testing.assert_array_equal(w.data, np.full((3, 1, 2, 2), 0.25))
 
 
 def test_identity_square():
-    w = L.materialize(L.identity_1x1(2), 0)
+    w = L.materialize(L.LayerSpec("identity1x1", 2, 2), 0)
     np.testing.assert_array_equal(w.data[:, :, 0, 0], np.eye(2))
 
 
 def test_identity_grouped_matches_modulo_rule():
-    w = L.materialize(L.identity_1x1(4, groups=2), 0)
+    w = L.materialize(L.LayerSpec("identity1x1", 4, 4, groups=2), 0)
     dense = L.as_dense(w)
     np.testing.assert_array_equal(dense.data[:, :, 0, 0], np.eye(4))
 
@@ -30,13 +30,13 @@ def test_identity_grouped_matches_modulo_rule():
 def test_identity_is_passthrough():
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(-1, 1, size=(2, 3, 5, 5)))
-    w = L.materialize(L.identity_1x1(3), 0)
+    w = L.materialize(L.LayerSpec("identity1x1", 3, 3), 0)
     y = conv2d_direct(x, w)
     np.testing.assert_array_equal(y.data, x.data)
 
 
 def test_freq_filter_closed_form():
-    w = L.materialize(L.freq_filter(4, 3), 0)
+    w = L.materialize(L.LayerSpec("freqfilter", 4, 4, k=3), 0)
     # channel 0, first row: cos(pi/6) regardless of the column index
     np.testing.assert_allclose(w.data[0, 0, 0, :], math.cos(math.pi / 6), atol=1e-15)
     want = freq_filter_loop(4, 3, 3)
@@ -45,7 +45,7 @@ def test_freq_filter_closed_form():
 
 @pytest.mark.parametrize("channels,k", [(4, 3), (5, 5), (2, 3), (6, 5)])
 def test_freq_filter_row_constancy(channels, k):
-    w = L.materialize(L.freq_filter(channels, k), 0).data
+    w = L.materialize(L.LayerSpec("freqfilter", channels, channels, k=k), 0).data
     half = channels // 2
     for c in range(channels):
         if c < half:
@@ -60,7 +60,7 @@ def test_freq_filter_row_constancy(channels, k):
 def test_scaling_kernel_equals_channel_scaling():
     rng = np.random.default_rng(1)
     gamma = 0.37
-    w = L.materialize(L.scaling(3, value=gamma), 0)
+    w = L.materialize(L.LayerSpec("scaling", 3, 3, init=L.InitRule("constant", value=gamma)), 0)
     x = Tensor(rng.uniform(-1, 1, size=(3, 4, 4)))
     via_conv = conv2d_direct(x, w)
     via_scale = scale_by_channel(x, np.full(3, gamma))
@@ -71,25 +71,25 @@ def test_avgpool_kernel_is_window_mean():
     rng = np.random.default_rng(2)
     k = 2
     x = rng.uniform(-1, 1, size=(1, 2, 6, 6))
-    w = L.materialize(L.avg_pool(2, k), 0)
+    w = L.materialize(L.LayerSpec("avgpool", 2, 2, k=k), 0)
     got = conv2d_direct(Tensor(x), w, ConvGeometry(stride=(k, k))).data
     want = x.reshape(1, 2, 3, k, 3, k).mean(axis=(3, 5))
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
 def test_conv_init_one_sided_bounds():
-    spec = L.conv(4, 8, 3)
+    spec = L.LayerSpec("conv", 4, 8, k=3)
     w = L.materialize(spec, 123).data
     bound = L.DEFAULT_THETA / math.sqrt(4 * 3 * 3)
     assert np.all(w >= 0.0)
     assert np.all(w < bound)
-    sym = L.materialize(L.conv(4, 8, 3, init=L.kaiming(symmetric=True)), 123).data
+    sym = L.materialize(L.LayerSpec("conv", 4, 8, k=3, init=L.InitRule(symmetric=True)), 123).data
     assert np.any(sym < 0.0)
     assert np.all(np.abs(sym) < bound)
 
 
 def test_materialize_deterministic():
-    spec = L.depthwise(3, 3, expansion=2)
+    spec = L.LayerSpec("depthwise", 3, 6, k=3, expansion=2)
     a = L.materialize(spec, 99).data
     b = L.materialize(spec, 99).data
     c = L.materialize(spec, 100).data
@@ -112,7 +112,7 @@ def test_as_dense_identity_on_dense_input():
 def test_as_dense_preserves_conv_output():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, size=(2, 4, 7, 7))
-    w = L.materialize(L.depthwise(4, 3), 5)
+    w = L.materialize(L.LayerSpec("depthwise", 4, 4, k=3), 5)
     grouped = conv2d_direct(Tensor(x), w).data
     dense = conv2d_direct(Tensor(x), L.as_dense(w)).data
     assert np.max(np.abs(grouped - dense)) <= 1e-12
@@ -122,7 +122,7 @@ def test_as_dense_preserves_conv_output():
 
 
 def test_depthwise_expansion_shapes():
-    w = L.materialize(L.depthwise(3, 3, expansion=8), 0)
+    w = L.materialize(L.LayerSpec("depthwise", 3, 24, k=3, expansion=8), 0)
     assert w.shape == (24, 1, 3, 3)
     assert w.groups == 3
 
@@ -133,13 +133,12 @@ def test_kind_validation():
     with pytest.raises(Exception):
         L.LayerSpec("nonsense", 1, 1)
     with pytest.raises(Exception):
-        L.conv(4, 6, 3, groups=4)  # out_ch not divisible
+        L.LayerSpec("conv", 4, 6, k=3, groups=4)  # out_ch not divisible
 
 
 def test_trainable_defaults_follow_catalog():
-    assert L.conv(2, 2, 3).trainable
-    assert L.identity_1x1(2).trainable
-    assert not L.avg_pool(2, 3).trainable
-    assert not L.freq_filter(2, 3).trainable
-    assert L.scaling(2).trainable
-    assert not L.scaling(2, trainable=False).trainable
+    specs = L.layer_specs([{"kind": kind} for kind in L.KINDS], 2, 3)
+    assert {s.kind: s.trainable for s in specs} == {
+        "conv": True, "identity1x1": True, "scaling": True, "avgpool": False,
+        "freqfilter": False, "depthwise": True, "pointwise": True}
+    assert not L.layer_specs([{"kind": "scaling", "trainable": False}], 2, 3)[0].trainable

@@ -43,7 +43,7 @@ def test_1x1_merge_is_matmul():
 
 def test_identity_absorption():
     rng = np.random.default_rng(1)
-    ident = L.materialize(L.identity_1x1(3), 0)
+    ident = L.materialize(L.LayerSpec("identity1x1", 3, 3), 0)
     k = KernelTensor(rng.uniform(-1, 1, size=(2, 3, 3, 3)))
     merged = merge_sequential(ident, k)
     assert merged.shape == k.shape
@@ -204,8 +204,8 @@ def test_parallel_rejects_even_extent():
 
 def test_even_branch_rejected_by_both_routes():
     rng = np.random.default_rng(0)
-    even = build_branch([L.conv(1, 1, 2)], rng)
-    odd = build_branch([L.conv(1, 1, 3)], rng)
+    even = build_branch([L.LayerSpec("conv", 1, 1, k=2)], rng)
+    odd = build_branch([L.LayerSpec("conv", 1, 1, k=3)], rng)
     block = BlockGraph(branches=[even, odd])
     x = Tensor(rng.uniform(-1, 1, size=(1, 1, 6, 6)))
     with pytest.raises(MergeError):
@@ -213,7 +213,7 @@ def test_even_branch_rejected_by_both_routes():
     with pytest.raises(MergeError):
         expanded_forward(block, x)
     # a lone even-extent branch is fine: no center alignment involved
-    single = BlockGraph(branches=[build_branch([L.conv(1, 1, 2)], rng)])
+    single = BlockGraph(branches=[build_branch([L.LayerSpec("conv", 1, 1, k=2)], rng)])
     direct = block_forward_squeezed(single, x)
     expanded = expanded_forward(single, x)
     np.testing.assert_allclose(direct.data, expanded.data, atol=1e-12)
@@ -241,7 +241,7 @@ def test_branch_scaling_examples():
 
 def test_single_branch_squeeze_returns_conv_weight():
     rng = np.random.default_rng(8)
-    branch = build_branch([L.conv(2, 3, 3)], rng, scaling=np.ones(3))
+    branch = build_branch([L.LayerSpec("conv", 2, 3, k=3)], rng, scaling=np.ones(3))
     block = BlockGraph(branches=[branch])
     res = squeeze_block(block)
     np.testing.assert_array_equal(res.kernel.data, branch.weights[0].data)
@@ -342,7 +342,7 @@ def test_strided_block_equivalence():
 
 
 def test_expanded_identity_branch_is_input():
-    branch = build_branch([L.identity_1x1(3)], np.random.default_rng(0))
+    branch = build_branch([L.LayerSpec("identity1x1", 3, 3)], np.random.default_rng(0))
     block = BlockGraph(branches=[branch])
     rng = np.random.default_rng(9)
     x = rand_input(rng, block, hw=(5, 5), batch=1)
@@ -352,7 +352,7 @@ def test_expanded_identity_branch_is_input():
 
 def test_expanded_two_identical_branches_doubles():
     rng = np.random.default_rng(10)
-    spec = L.conv(2, 2, 3)
+    spec = L.LayerSpec("conv", 2, 2, k=3)
     w = L.materialize(spec, 3)
     b1 = Branch(layers=[spec], weights=[w], scaling=np.ones(2))
     b2 = Branch(layers=[spec], weights=[w], scaling=np.ones(2))
@@ -366,7 +366,7 @@ def test_expanded_two_identical_branches_doubles():
 
 
 def test_cost_single_conv_offline_equals_online():
-    branch = build_branch([L.conv(4, 4, 3)], np.random.default_rng(0))
+    branch = build_branch([L.LayerSpec("conv", 4, 4, k=3)], np.random.default_rng(0))
     block = BlockGraph(branches=[branch])
     costs = cost_report(block, (16, 16), 8)
     assert costs["offline"]["buffer_elems"] == 0
@@ -377,7 +377,7 @@ def test_cost_single_conv_offline_equals_online():
 def test_cost_1x1_then_3x3_worked_example():
     # 1x1 -> 3x3 branch at H = W = 56, B = 32, C = 64
     rng = np.random.default_rng(0)
-    branch = build_branch([L.conv(64, 64, 1), L.conv(64, 64, 3)], rng)
+    branch = build_branch(L.layer_specs([{"kind": "conv", "k": 1}, {"kind": "conv"}], 64, 3), rng)
     block = BlockGraph(branches=[branch])
     costs = cost_report(block, (56, 56), 32)
     assert costs["offline"]["buffer_elems"] == 32 * 64 * 56 * 56

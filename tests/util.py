@@ -23,29 +23,18 @@ SQUARE_KINDS = ["conv", "gconv", "identity1x1", "scaling", "avgpool", "freqfilte
 
 
 def _random_layer(src, w_in, w_out, ks):
+    """A spec layer object from w_in to w_out channels."""
     if w_in == w_out:
-        kind = src.pick(src.square_kinds)
+        kind = str(src.pick(src.square_kinds))
     else:
-        kind = src.pick(["conv", "pointwise"])
-    k = int(src.pick(ks))
-    if kind == "conv":
-        return L.conv(w_in, w_out, k)
+        kind = str(src.pick(["conv", "pointwise"]))
+    obj = {"kind": kind, "out_ch": w_out, "k": int(src.pick(ks))}
     if kind == "gconv":
         g = int(src.pick(_divisors(w_in)))
-        if w_out % g:
-            g = 1
-        return L.conv(w_in, w_out, k, groups=g)
-    if kind == "identity1x1":
-        return L.identity_1x1(w_in)
+        obj.update(kind="conv", groups=g if w_out % g == 0 else 1)
     if kind == "scaling":
-        return L.scaling(w_in, value=src.value())
-    if kind == "avgpool":
-        return L.avg_pool(w_in, k)
-    if kind == "freqfilter":
-        return L.freq_filter(w_in, k)
-    if kind == "depthwise":
-        return L.depthwise(w_in, k)
-    return L.pointwise(w_in, w_out)
+        obj["value"] = src.value()
+    return obj
 
 
 def _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_ch, ks):
@@ -63,7 +52,8 @@ def _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_c
             widths.append(src.width(max_ch, widths[-1]))
         widths.append(out_ch)
         depth = len(widths) - 1
-        specs = [_random_layer(src, widths[i], widths[i + 1], ks) for i in range(depth)]
+        objs = [_random_layer(src, widths[i], widths[i + 1], ks) for i in range(depth)]
+        specs = L.layer_specs(objs, in_ch, default_k=1)  # every object names its k
         branches.append(build_branch(specs, weight_rng, dtype=dtype,
                                      scaling=src.scaling(out_ch), name=f"b{bi}"))
     return BlockGraph(branches=branches, output_geometry=ConvGeometry(stride=stride))
