@@ -8,6 +8,7 @@ consumed branch by branch, layer by layer.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from importlib import resources
@@ -40,11 +41,17 @@ def load_schema():
         return json.load(fh)
 
 
+@functools.cache
+def _validator():
+    schema = load_schema()
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
 def validate_spec(doc):
-    try:
-        jsonschema.validate(doc, load_schema())
-    except jsonschema.ValidationError as exc:
-        raise SpecError(f"spec validation failed: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise SpecError(f"spec validation failed: {error.message}")
 
 
 def block_from_spec(doc):
@@ -90,22 +97,26 @@ def _build_block(doc):
     return block
 
 
-def load_spec(path):
-    """Read, validate and build; returns (document, BlockGraph)."""
+def _read(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
-    except (OSError, ValueError) as exc:
-        raise SpecError(f"cannot read spec {path}: {exc}") from exc
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SpecError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_spec(path):
+    """Read, validate and build; returns (document, BlockGraph)."""
+    doc = _read(path, "spec")
     return doc, block_from_spec(doc)
 
 
 CKPT_FORMAT = "orepa-ckpt-1"
 
 
-def save_checkpoint(path, doc, block):
-    """Persist a block's current weights next to the spec that built it."""
-    payload = {
+def _payload(doc, block):
+    """The checkpoint save_checkpoint writes for doc and block."""
+    return {
         "format": CKPT_FORMAT,
         "blockspec": doc,
         "branches": [
@@ -119,50 +130,33 @@ def save_checkpoint(path, doc, block):
             for b in block.branches
         ],
     }
+
+
+def save_checkpoint(path, doc, block):
+    """Persist a block's current weights next to the spec that built it."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, allow_nan=False)
+        json.dump(_payload(doc, block), fh, sort_keys=True, allow_nan=False)
 
 
 def load_checkpoint(path):
-    """Rebuild a block from a checkpoint; returns (document, BlockGraph)."""
+    """Rebuild a block from a checkpoint; returns (document, BlockGraph).
+    The file is accepted only if save_checkpoint would write it back."""
+    payload = _read(path, "checkpoint")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, parse_float=_finite, parse_constant=_finite)
-    except (OSError, ValueError) as exc:
-        raise SpecError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CKPT_FORMAT:
-        raise SpecError(f"not a checkpoint: {path}")
-    if "blockspec" not in payload:
-        raise SpecError(f"checkpoint {path} has no blockspec")
-    doc = payload["blockspec"]
-    block = block_from_spec(doc)
-    dtype = doc.get("dtype", "f64")
-    try:
-        if len(payload["branches"]) != len(block.branches):
-            raise SpecError(f"checkpoint {path} has {len(payload['branches'])} branches, "
-                            f"spec builds {len(block.branches)}")
-        for branch, saved in zip(block.branches, payload["branches"]):
-            if len(saved["layers"]) != len(branch.weights):
-                raise SpecError(f"branch {branch.name}: {len(saved['layers'])} saved layers, "
-                                f"spec builds {len(branch.weights)}")
-            for li, layer in enumerate(saved["layers"]):
-                old = branch.weights[li]
-                if (tuple(layer["shape"]), layer["groups"]) != (old.shape, old.groups):
-                    raise SpecError(f"branch {branch.name} layer {li}: saved shape "
-                                    f"{layer['shape']} groups {layer['groups']}, spec builds "
-                                    f"{list(old.shape)} groups {old.groups}")
-                arr = np.asarray(layer["data"]).reshape(old.shape)
-                branch.weights[li] = KernelTensor(arr, groups=old.groups, dtype=dtype)
-            got = None if saved["scaling"] is None else np.shape(saved["scaling"])
-            want = None if branch.scaling is None else branch.scaling.shape
-            if got != want:
-                raise SpecError(f"branch {branch.name}: saved scaling shape {got}, "
-                                f"spec builds {want}")
-            if saved["scaling"] is not None:
-                branch.scaling = np.asarray(saved["scaling"],
-                                            dtype=branch.weights[-1].data.dtype)
+        doc = payload["blockspec"]
+        block = block_from_spec(doc)
+        # the strict zips and the built shapes make the comparison below check
+        # the file against its spec, not only against itself
+        for branch, saved in zip(block.branches, payload["branches"], strict=True):
+            branch.weights = [KernelTensor(np.reshape(layer["data"], w.shape), w.groups, w.dtype)
+                              for w, layer in zip(branch.weights, saved["layers"], strict=True)]
+            if branch.scaling is not None:
+                branch.scaling = np.reshape(np.asarray(saved["scaling"], branch.scaling.dtype),
+                                            branch.scaling.shape)
     except SpecError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed checkpoint {path}: {exc!r}") from exc
+    if _payload(doc, block) != payload:
+        raise SpecError(f"checkpoint {path} is not what save_checkpoint writes for its spec")
     return doc, block

@@ -106,6 +106,8 @@ def cmd_verify(args):
     tol = VERIFY_TOL[dtype] if args.tol is None else args.tol
     if args.kernel:
         kernel = read_okt(args.kernel)
+        if not isinstance(kernel, KernelTensor):
+            raise UsageError(f"--kernel holds a feature map of shape {kernel.shape}, not a kernel")
         got = (kernel.dtype, kernel.out_channels, kernel.in_channels, kernel.kh, kernel.kw)
         want = (dtype, block.out_ch, block.in_ch, *block.effective_k)
         if got != want:

@@ -12,7 +12,7 @@ from orepa import layers as L
 from orepa.blockspec import block_from_spec, load_spec, save_checkpoint
 from orepa.cli import main
 from orepa.okt import read_okt, write_okt
-from orepa.tensor import KernelTensor
+from orepa.tensor import KernelTensor, Tensor
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -113,6 +113,9 @@ def _okt_bytes(header, payload=b""):
     return b"OREPAKT1" + struct.pack("<I", len(blob)) + blob + payload
 
 
+# JSON nested deeper than the decoder's recursion limit
+TOO_DEEP = "[" * 100000 + "]" * 100000
+
 MALFORMED_OKT = {
     "garbage": b"garbage",
     "truncated": b"OREPAKT1\x01",
@@ -125,7 +128,15 @@ MALFORMED_OKT = {
                                   "groups": 1}),
     "groups_not_dividing": _okt_bytes({"dtype": "f64", "shape": [4, 1, 3, 3], "layout": "OIHW",
                                        "groups": 3}),
+    "dtype_list": _okt_bytes({"dtype": ["f64"], "shape": [1, 1, 1, 1], "layout": "OIHW",
+                              "groups": 1}, b"\x00" * 8),
+    "layout_list": _okt_bytes({"dtype": "f64", "shape": [1, 1, 1, 1], "layout": ["OIHW"],
+                               "groups": 1}, b"\x00" * 8),
+    "header_too_deep": b"OREPAKT1" + struct.pack("<I", len(TOO_DEEP)) + TOO_DEEP.encode(),
 }
+
+# checkpoint files that are not JSON the reader can decode
+GARBAGE_CHECKPOINT = {"garbage_checkpoint": "{not json", "checkpoint_too_deep": TOO_DEEP}
 
 
 def _malformed_argv(tmp_path, case):
@@ -134,10 +145,13 @@ def _malformed_argv(tmp_path, case):
     if case in MALFORMED_OKT:
         (tmp_path / "k.okt").write_bytes(MALFORMED_OKT[case])
         return ["verify", spec, "--kernel", tmp_path / "k.okt", "--trials", 1]
+    if case == "spec_too_deep":
+        (tmp_path / "deep.json").write_text(TOO_DEEP)
+        return ["squeeze", tmp_path / "deep.json", "--out", tmp_path / "k.okt"]
     if case == "missing_checkpoint":
         return ["analyze", tmp_path / "nope.ckpt", *csvs]
-    if case == "garbage_checkpoint":
-        (tmp_path / "bad.ckpt").write_text("{not json")
+    if case in GARBAGE_CHECKPOINT:
+        (tmp_path / "bad.ckpt").write_text(GARBAGE_CHECKPOINT[case])
         return ["analyze", tmp_path / "bad.ckpt", *csvs]
     if case in PARTIAL_CHECKPOINT:
         payload = {"format": "orepa-ckpt-1", "blockspec": json.loads(spec.read_text()),
@@ -168,9 +182,9 @@ def _malformed_argv(tmp_path, case):
     if case in UNALIGNABLE_SPEC:
         (tmp_path / "even.json").write_text(json.dumps(EVEN_BRANCH_SPEC))
         return UNALIGNABLE_SPEC[case](tmp_path / "even.json", tmp_path)
-    if case in UNBUILDABLE_SPEC:
-        (tmp_path / "unbuildable.json").write_text(json.dumps(UNBUILDABLE_SPEC[case]))
-        return ["verify", tmp_path / "unbuildable.json", "--trials", 1]
+    if case in REFUSED_SPEC:
+        (tmp_path / "refused.json").write_text(json.dumps(REFUSED_SPEC[case]))
+        return ["verify", tmp_path / "refused.json", "--trials", 1]
     if case in NON_FINITE_SPEC:
         (tmp_path / "nonfinite.json").write_text(_json_text(NON_FINITE_SPEC[case]))
         return ["squeeze", tmp_path / "nonfinite.json", "--out", tmp_path / "k.okt"]
@@ -213,6 +227,7 @@ UNFIT_KERNEL = {
     "kernel_wrong_extent": KernelTensor(np.zeros((4, 4, 5, 5))),
     "kernel_wrong_in_ch": KernelTensor(np.zeros((4, 3, 3, 3))),
     "kernel_f32": KernelTensor(np.zeros((4, 4, 3, 3)), dtype="f32"),
+    "kernel_is_feature_map": Tensor(np.zeros((4, 4, 3, 3))),
 }
 
 # out-of-range numeric flags: exit 2 before any work, never a traceback,
@@ -249,6 +264,17 @@ UNBUILDABLE_SPEC = {
     "preset_1x1_with_k3": {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0, "preset": "orepa1x1"},
     "spec_scaling_init_too_short": {**EVEN_BRANCH_SPEC, "scaling_init": [1.0]},
 }
+
+# specs holding a key that their form does not read
+CROSS_FORM_SPEC = {
+    "preset_with_stride": {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0, "preset": "orepa3x3",
+                           "stride": [2, 2]},
+    "preset_with_scaling_init": {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0,
+                                 "preset": "orepa3x3", "scaling_init": [9.0]},
+    "branches_with_options": {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0,
+                              "branches": [[{"kind": "conv"}]], "options": {"stride": [2, 2]}},
+}
+REFUSED_SPEC = {**UNBUILDABLE_SPEC, **CROSS_FORM_SPEC}
 
 
 # specs holding one of the non-standard constants json.load accepts, or a
@@ -288,16 +314,18 @@ UNINDEXABLE_INPUT = {"unindexable_input": ["verify", "--trials", 1],
                      "unindexable_gradcheck_input": ["gradcheck"],
                      "unindexable_train_input": ["train-toy", "--steps", 1]}
 
-# checkpoint weights that are not finite numbers
+# checkpoint weights that are not finite numbers (numpy would read null as NaN)
 NON_FINITE_WEIGHT = {"checkpoint_nan_weight": float("nan"),
                      "checkpoint_overflowing_weight": "1e400",
-                     "checkpoint_huge_integer_weight": 10 ** 400}
+                     "checkpoint_huge_integer_weight": 10 ** 400,
+                     "checkpoint_null_weight": None}
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_OKT, "missing_checkpoint", "garbage_checkpoint",
+@pytest.mark.parametrize("case", [*MALFORMED_OKT, "spec_too_deep", "missing_checkpoint",
+                                  *GARBAGE_CHECKPOINT,
                                   *PARTIAL_CHECKPOINT, "checkpoint_wrong_shape",
                                   *TRUNCATED_CHECKPOINT, *UNFIT_KERNEL, *BAD_FLAGS,
-                                  *UNALIGNABLE_SPEC, *UNBUILDABLE_SPEC, *NON_FINITE_SPEC,
+                                  *UNALIGNABLE_SPEC, *REFUSED_SPEC, *NON_FINITE_SPEC,
                                   *NON_FINITE_WEIGHT,
                                   "unwritable_report",
                                   "unallocatable_weights", "unallocatable_input",

@@ -63,18 +63,72 @@ def test_truncated_payload_rejected(tmp_path):
         read_okt(path)
 
 
+def _okt_bytes(header, payload, **dumps):
+    blob = json.dumps(header, **dumps).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + payload
 
-@settings(max_examples=80, deadline=None)
-@given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+
+# the header and payload write_okt writes for a (6, 1, 2, 1) kernel of 3 groups
+HEADER = {"dtype": "f64", "groups": 3, "layout": "OIHW", "shape": [6, 1, 2, 1]}
+PAYLOAD = np.arange(12.0).astype("<f8").tobytes()
+DROP = object()
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-2, 13),
+    st.sampled_from([2 ** 64, 10 ** 400, "f32", "f64", "OIHW", "CHW", "BCHW"]), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-1, 12), st.booleans(), st.floats(1, 6)), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(header_edit=st.one_of(st.none(), st.tuples(st.sampled_from([*HEADER, "extra"]),
+                                                  st.one_of(st.just(DROP), JSON_VALUES))),
+       edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
        cut=st.one_of(st.none(), st.integers(0, 200)))
-def test_fuzzed_okt_reads_or_raises_format_error(tmp_path_factory, edits, cut):
-    path = tmp_path_factory.mktemp("fuzz") / "k.okt"
-    write_okt(path, KernelTensor(np.arange(12.0).reshape(6, 1, 2, 1), groups=3))
-    raw = bytearray(path.read_bytes())
+def test_fuzzed_okt_reads_or_raises_format_error(tmp_path_factory, header_edit, edits, cut):
+    header = dict(HEADER)
+    if header_edit is not None:
+        key, value = header_edit
+        if value is DROP:
+            header.pop(key, None)
+        else:
+            header[key] = value
+    raw = bytearray(_okt_bytes(header, PAYLOAD, sort_keys=True, separators=(",", ":")))
     for pos, byte in edits:
         raw[pos % len(raw)] = byte
+    path = tmp_path_factory.mktemp("fuzz") / "k.okt"
     path.write_bytes(bytes(raw[:cut]))
     try:
-        read_okt(path)
+        back = read_okt(path)
     except FormatError:
-        pass
+        return
+    # a file the reader accepts is exactly what the writer writes for what it read
+    write_okt(path, back)
+    assert path.read_bytes() == bytes(raw[:cut])
+
+
+def test_header_in_any_key_order_or_spacing_reads(tmp_path):
+    path = tmp_path / "k.okt"
+    path.write_bytes(_okt_bytes(dict(reversed(HEADER.items())), PAYLOAD, indent=2))
+    back = read_okt(path)
+    assert (back.shape, back.groups) == ((6, 1, 2, 1), 3)
+    assert back.data.tobytes() == PAYLOAD
+
+
+# headers that decode a payload but that write_okt never writes
+UNWRITTEN_HEADERS = {
+    "extra_key": {**HEADER, "note": "x"},
+    "chw_groups_2": {**HEADER, "layout": "CHW", "groups": 2, "shape": [6, 2, 1]},
+    "bchw_groups_3": {**HEADER, "layout": "BCHW"},
+    "groups_true": {**HEADER, "groups": True, "shape": [12, 1, 1, 1]},
+    "groups_float": {**HEADER, "groups": 3.0},
+    "dtype_list": {**HEADER, "dtype": ["f64"]},
+    "layout_list": {**HEADER, "layout": ["OIHW"]},
+}
+
+
+@pytest.mark.parametrize("case", UNWRITTEN_HEADERS)
+def test_header_the_writer_never_writes_is_refused(tmp_path, case):
+    path = tmp_path / "k.okt"
+    path.write_bytes(_okt_bytes(UNWRITTEN_HEADERS[case], PAYLOAD))
+    with pytest.raises(FormatError):
+        read_okt(path)
