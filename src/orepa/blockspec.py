@@ -49,9 +49,20 @@ def _validator():
 
 
 def validate_spec(doc):
+    """Raise SpecError with jsonschema's best message, except for a spec
+    that matches exactly one of the schema's forms by its required key but
+    holds a key that form does not read: that error names the key."""
     error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise SpecError(f"spec validation failed: {error.message}")
+    if error is None:
+        return
+    if error.validator == "oneOf" and isinstance(error.instance, dict):
+        forms = [f for f in error.validator_value if error.instance.keys() >= set(f["required"])]
+        if len(forms) == 1:
+            unread = [k for rule in forms[0]["not"]["anyOf"] for k in rule["required"]
+                      if k in error.instance]
+            raise SpecError(f"spec validation failed: a {forms[0]['required'][0]} spec does "
+                            f"not read {', '.join(map(repr, unread))}")
+    raise SpecError(f"spec validation failed: {error.message}")
 
 
 def block_from_spec(doc):

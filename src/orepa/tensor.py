@@ -12,9 +12,11 @@ adjoint _correlate_grad_w. conv2d_direct pads x and correlates.
 Both run in blocks of batch items or of groups (_blocks) whose working
 buffers fit _CACHE_BUDGET bytes, so a large map is not streamed through
 memory once per tap; a small map is one block. The buffers are allocated
-per call; none outlives one. Every output element of the forward adds the
-same products in the same tap order whatever the blocks, so it keeps its
-bits; the weight adjoint sums items and positions block by block.
+per call; none outlives one. A channel-wise block (one input channel per
+group) is one GEMM over copies of its tap windows; any other forward block
+is one GEMM per tap. Either way every output element of the forward is the
+same arithmetic whatever the blocks, so it keeps its bits; the weight
+adjoint sums items and positions block by block.
 """
 
 from __future__ import annotations
@@ -233,17 +235,19 @@ def _blocks(b, groups, unit):
 
 
 def _correlate(x, w, groups=1, stride=(1, 1)):
-    """VALID grouped cross-correlation, one GEMM per kernel tap.
+    """VALID grouped cross-correlation as batched GEMMs over the kernel taps.
 
     y[b, o, h, v] = sum_{c, i, j} w[o, c, i, j] * x[b, c', s_h*h + i, s_w*v + j]
     for x (B, C, H, W) and w (Co, C // groups, kH, kW), c' running over the
     channels of o's group; groups are the matmul batch axis. On an image
-    flattened over (row, column), tap (i, j) is a shift by i*W + j, so each
-    tap multiplies a view of x into rows as wide as the input and adds them
-    to an accumulator, of which the VALID columns are kept after the last
-    tap. The work runs in _blocks, so the product and accumulator of a large
-    map stay in cache across the taps. A stride splits x and w into phases,
-    each a stride-1 correlation.
+    flattened over (row, column), tap (i, j) is a shift by i*W + j, and the
+    output is computed in rows as wide as the input, of which the VALID
+    columns are kept. With one input channel per group (depthwise, channel
+    multiplier, pooling) a block copies its kH*kW shifted rows into one
+    buffer and contracts the taps in one GEMM; with more, each tap is a
+    GEMM of a view of x whose product is added to an accumulator. The work
+    runs in _blocks, so the buffers of a large map stay in cache. A stride
+    splits x and w into phases, each a stride-1 correlation.
     """
     b, _, hgt, wid = x.shape
     co, cig, kh, kw = w.shape
@@ -255,23 +259,38 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
     dt = np.result_type(x, w)
     cog, n = co // groups, ho * wid - (kw - 1)
     xf = x.reshape(b, groups, cig, -1)
-    wt = np.ascontiguousarray(w.reshape(groups, cog, cig, -1).transpose(3, 0, 1, 2))
-    blocks = _blocks(b, groups, 2 * cog * ho * wid * dt.itemsize)
+    if cig == 1:
+        # windows[b, g, i, j] is x's flattened row shifted by tap (i, j), a view
+        # that reads only inside x, as i*W + j + n <= H*W
+        s = xf.strides
+        windows = np.lib.stride_tricks.as_strided(
+            xf[:, :, 0], (b, groups, kh, kw, n), s[:2] + (wid * s[3], s[3], s[3]),
+            writeable=False)
+        wt = np.ascontiguousarray(w.reshape(groups, cog, kh * kw))
+        buf_shape, unit = (kh, kw, n), kh * kw * n + cog * ho * wid
+    else:
+        wt = np.ascontiguousarray(w.reshape(groups, cog, cig, -1).transpose(3, 0, 1, 2))
+        buf_shape, unit = (cog, n), 2 * cog * ho * wid
+    blocks = _blocks(b, groups, unit * dt.itemsize)
     ib, gb = blocks[0]
     acc = np.empty((ib.stop - ib.start, gb.stop - gb.start, cog, ho * wid), dtype=dt)
-    prod = np.empty(acc.shape[:-1] + (n,), dtype=dt)
+    buf = np.empty(acc.shape[:2] + buf_shape, dtype=dt)
     y = np.empty((b, groups, cog, ho, wo), dtype=dt)
     for ib, gb in blocks:
         ni, ng = ib.stop - ib.start, gb.stop - gb.start
-        a, p = acc[:ni, :ng], prod[:ni, :ng]
-        for t in range(kh * kw):
-            off = t // kw * wid + t % kw
-            # with one input channel per group the GEMM is an outer product;
-            # tap 0 writes the accumulator, whose last kw - 1 columns are never read
-            (np.multiply if cig == 1 else np.matmul)(wt[t, gb], xf[ib, gb, :, off:off + n],
-                                                     out=p if t else a[..., :n])
-            if t:
-                np.add(a[..., :n], p, out=a[..., :n])
+        # the accumulator's last kw - 1 columns are never written or read
+        a, p = acc[:ni, :ng], buf[:ni, :ng]
+        if cig == 1:
+            # a copy of the block's tap windows, contracted over the taps
+            p[...] = windows[ib, gb]
+            np.matmul(wt[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
+        else:
+            for t in range(kh * kw):
+                off = t // kw * wid + t % kw
+                # tap 0 writes the accumulator; p holds each later tap's product
+                np.matmul(wt[t, gb], xf[ib, gb, :, off:off + n], out=p if t else a[..., :n])
+                if t:
+                    np.add(a[..., :n], p, out=a[..., :n])
         y[ib, gb] = a.reshape(a.shape[:-1] + (ho, wid))[..., :wo]
     return y.reshape(b, co, ho, wo)
 

@@ -23,8 +23,16 @@ INVALID_SPECS = {
     "neither_form": {"in_ch": 4, "out_ch": 4, "k": 3, "seed": 0},
     "wrong_type": {**PRESET, "in_ch": "4"},
     "unknown_layer_kind": {**BRANCHES, "branches": [[{"kind": "deconv"}]]},
-    "preset_with_stride": {**PRESET, "stride": [2, 2]},
-    "branches_with_options": {**BRANCHES, "options": {"expansion": 2}},
+}
+
+# specs of one form holding keys that only the other form reads, and what
+# the error says about them
+CROSS_FORM_SPECS = {
+    "preset_with_stride": ({**PRESET, "stride": [2, 2]}, "a preset spec does not read 'stride'"),
+    "preset_with_two_unread_keys": ({**PRESET, "scaling_init": [9.0], "stride": [2, 2]},
+                                    "a preset spec does not read 'scaling_init', 'stride'"),
+    "branches_with_options": ({**BRANCHES, "options": {"expansion": 2}},
+                              "a branches spec does not read 'options'"),
 }
 
 
@@ -36,6 +44,14 @@ def test_spec_error_says_what_jsonschema_validate_says(case):
     with pytest.raises(SpecError) as got:
         validate_spec(doc)
     assert str(got.value) == f"spec validation failed: {want.value.message}"
+
+
+@pytest.mark.parametrize("case", CROSS_FORM_SPECS)
+def test_spec_error_names_the_key_its_form_does_not_read(case):
+    doc, message = CROSS_FORM_SPECS[case]
+    with pytest.raises(SpecError) as got:
+        validate_spec(doc)
+    assert str(got.value) == f"spec validation failed: {message}"
 
 
 def test_spec_files_and_benchmark_cases_validate():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orepa import tensor
-from orepa.dynamics import _conv_grad_w
+from orepa.dynamics import _conv_grad_w, _conv_grad_x
 from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError, Tensor, add,
                           _blocks, _correlate, _correlate_grad_w, conv2d_direct, pad_spatial,
                           same_padding, scale_by_channel, sum_over)
@@ -87,42 +87,59 @@ def test_depthwise_equals_per_channel_correlation():
 
 
 def _per_channel_correlation(x, w, stride=1):
-    """Channel-wise VALID correlation, one tap of one channel at a time, in
-    tap order from a zero accumulator."""
+    """Channel-wise VALID correlation, one tap of one output channel at a
+    time, in tap order from a zero accumulator; output channel o reads input
+    channel o // (Co // C), so w may hold a channel multiplier."""
     b, c, hgt, wid = x.shape
     kh, kw = w.shape[2:]
     ho, wo = (hgt - kh) // stride + 1, (wid - kw) // stride + 1
-    y = np.zeros((b, c, ho, wo), dtype=x.dtype)
-    for ch in range(c):
+    y = np.zeros((b, w.shape[0], ho, wo), dtype=x.dtype)
+    for o in range(w.shape[0]):
         for i in range(kh):
             for j in range(kw):
-                y[:, ch] += w[ch, 0, i, j] * x[:, ch, i:i + stride * ho:stride,
-                                                 j:j + stride * wo:stride]
+                y[:, o] += w[o, 0, i, j] * x[:, o * c // w.shape[0], i:i + stride * ho:stride,
+                                                j:j + stride * wo:stride]
     return y
 
 
 @pytest.mark.parametrize("k", [(3, 3), (5, 5), (2, 4)], ids=["3x3", "5x5", "2x4"])
-@pytest.mark.parametrize("shape,dtype", [((2, 64, 58, 58), "f64"), ((2, 61, 58, 58), "f64"),
-                                         ((2, 64, 58, 58), "f32")], ids=["64", "61", "64-f32"])
-def test_channelwise_conv_above_the_cache_budget_keeps_tap_order(shape, dtype, k):
-    # the blocked path adds the same products in the same order, so it is
-    # bit-equal to the plain per-channel loop; 61 channels leave a remainder block
-    rng = np.random.default_rng(sum(shape) + sum(k))
+@pytest.mark.parametrize("shape,dtype,mult", [((2, 64, 58, 58), "f64", 1),
+                                              ((2, 61, 58, 58), "f64", 1),
+                                              ((2, 64, 58, 58), "f32", 1),
+                                              ((2, 16, 30, 30), "f64", 8)],
+                         ids=["64", "61", "64-f32", "16x8"])
+def test_channelwise_conv_above_the_cache_budget_keeps_tap_order(shape, dtype, mult, k):
+    # each block is one GEMM over the copied tap windows, which adds the taps
+    # in BLAS's order: an output keeps its bits whatever the blocks, and is
+    # within kh * kw roundings of the sum of |products| of the plain
+    # per-channel loop; 61 channels leave a remainder block, and mult = 8 is
+    # a channel multiplier
+    rng = np.random.default_rng(sum(shape) + sum(k) + mult)
     x = Tensor(rng.uniform(-1, 1, size=shape), dtype=dtype)
-    w = KernelTensor(rng.uniform(-1, 1, size=(shape[1], 1) + k), groups=shape[1], dtype=dtype)
+    w = KernelTensor(rng.uniform(-1, 1, size=(shape[1] * mult, 1) + k), groups=shape[1],
+                     dtype=dtype)
     ho = shape[2] - k[0] + 1
-    # the forward's product and accumulator take 2 * ho * W elements per channel
-    assert len(_blocks(shape[0], shape[1], 2 * ho * shape[3] * x.data.itemsize)) > 1
+    n = ho * shape[3] - (k[1] - 1)
+    # a block's tap windows and accumulator take kh * kw * n + mult * ho * W elements
+    # per item and channel
+    unit = (k[0] * k[1] * n + mult * ho * shape[3]) * x.data.itemsize
+    assert len(_blocks(shape[0], shape[1], unit)) > 1
     got = conv2d_direct(x, w).data
-    assert np.array_equal(got, _per_channel_correlation(x.data, w.data))
+    with mock.patch.object(tensor, "_CACHE_BUDGET", 1 << 40):
+        assert len(_blocks(shape[0], shape[1], unit)) == 1
+        assert np.array_equal(got, conv2d_direct(x, w).data)
+    scale = _per_channel_correlation(np.abs(x.data), np.abs(w.data))
+    err = np.abs(got - _per_channel_correlation(x.data, w.data))
+    assert np.all(err <= k[0] * k[1] * np.finfo(x.data.dtype).eps * scale)
 
 
 def test_strided_channelwise_conv_with_phases_above_the_cache_budget():
     rng = np.random.default_rng(29)
     x = rng.uniform(-1, 1, size=(2, 64, 116, 116))
     w = rng.uniform(-1, 1, size=(64, 1, 3, 3))
-    # the four stride phases correlate (2, 64, 58, 58) maps with 2x2 to 1x1 taps
-    assert len(_blocks(2, 64, 2 * 57 * 58 * x.itemsize)) > 1
+    # the four stride phases correlate (2, 64, 58, 58) maps with 2x2 to 1x1
+    # taps; the 2x2 phase's windows and accumulator take 4 * n + 57 * 58 elements
+    assert len(_blocks(2, 64, (4 * (57 * 58 - 1) + 57 * 58) * x.itemsize)) > 1
     got = conv2d_direct(Tensor(x), KernelTensor(w, groups=64), ConvGeometry(stride=(2, 2))).data
     np.testing.assert_allclose(got, _per_channel_correlation(x, w, stride=2),
                                rtol=1e-12, atol=1e-12)
@@ -171,8 +188,8 @@ def test_correlation_in_any_blocks_matches_loop_oracles(groups, cig, cog, k, str
        stride=st.tuples(st.integers(1, 2), st.integers(1, 2)), batch=st.integers(1, 2),
        seed=st.integers(0, 2 ** 16), data=st.data())
 def test_correlate_matches_the_loop_oracle(groups, cig, mult, hw, stride, batch, seed, data):
-    # one input channel per group takes the outer-product path, more take
-    # the GEMM; mult is the count of output channels per group; the first
+    # one input channel per group is one GEMM over the taps, more take one
+    # GEMM per tap; mult is the count of output channels per group; the first
     # tap writes the accumulator that the later taps add to
     k = tuple(data.draw(st.integers(1, e)) for e in hw)
     rng = np.random.default_rng(seed)
@@ -192,9 +209,14 @@ def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     rng = np.random.default_rng(31)
     x = Tensor(rng.standard_normal((2, 64, 58, 58)))
     w = KernelTensor(rng.standard_normal((64, 1, 3, 3)), groups=64)
+    w_mult = KernelTensor(rng.standard_normal((512, 1, 3, 3)), groups=64)
     w_dense = KernelTensor(rng.standard_normal((64, 64, 3, 3)))
     g = rng.standard_normal((2, 64, 56, 56))
+    # the input gradient pads g by kh - 1 on each side before it correlates
+    g_padded = np.pad(g, ((0, 0), (0, 0), (2, 2), (2, 2)))
     cases = [(lambda: conv2d_direct(x, w), g.nbytes + _CACHE_BUDGET),
+             (lambda: conv2d_direct(x, w_mult), 8 * g.nbytes + _CACHE_BUDGET),
+             (lambda: _conv_grad_x(g, w), g_padded.nbytes + x.data.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w, ConvGeometry()), _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w_dense, ConvGeometry()), x.data.nbytes + _CACHE_BUDGET)]
     for op, bound in cases:
