@@ -1,8 +1,8 @@
 """Load block-spec JSON files into BlockGraphs, and checkpoint round-trips.
 
-Spec files validate against the published schema (schemas/blockspec-1.json,
-also shipped inside the package); unknown keys are rejected. One seed in
-the file drives all initialization through numpy's default PCG64 stream,
+Spec files validate against the packaged schema, orepa/schemas/blockspec-1.json
+(schemas/blockspec-1.json links to it); unknown keys are rejected. One seed
+in the file drives all initialization through numpy's default PCG64 stream,
 consumed branch by branch, layer by layer.
 """
 

@@ -55,8 +55,9 @@ def _check_flags(args):
             raise UsageError(f"--{name} must be >= 1")
     if not 0 < getattr(args, "eta", 1.0) < math.inf:
         raise UsageError("--eta must be finite and > 0")
-    if getattr(args, "tol", None) is not None and not 0 <= args.tol < math.inf:
-        raise UsageError("--tol must be finite and >= 0")
+    for name in ("tol", "weight_decay"):
+        if getattr(args, name, None) is not None and not 0 <= getattr(args, name) < math.inf:
+            raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0")
 
 
 def _finite_or_null(v):

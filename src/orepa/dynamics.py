@@ -63,13 +63,18 @@ class ParamSet:
                 offset += size
         self.size = offset
 
-    def get_flat(self):
+    def _gather(self, value_of):
+        """value_of(entry) at each entry's offset of one f64 vector; None stays zero."""
         out = np.zeros(self.size)
         for e in self.entries:
-            branch = self.block.branches[e.branch]
-            vals = branch.scaling if e.layer < 0 else branch.weights[e.layer].data
-            out[e.offset:e.offset + e.size] = np.asarray(vals, dtype=np.float64).ravel()
+            if (vals := value_of(e)) is not None:
+                out[e.offset:e.offset + e.size] = np.asarray(vals, dtype=np.float64).ravel()
         return out
+
+    def get_flat(self):
+        branches = self.block.branches
+        return self._gather(lambda e: branches[e.branch].scaling if e.layer < 0
+                            else branches[e.branch].weights[e.layer].data)
 
     def set_flat(self, flat):
         if flat.shape != (self.size,):
@@ -86,12 +91,7 @@ class ParamSet:
 
     def flatten_grads(self, grad_map):
         """grad_map: {(branch, layer): array} with layer -1 for gamma."""
-        out = np.zeros(self.size)
-        for e in self.entries:
-            g = grad_map.get((e.branch, e.layer))
-            if g is not None:
-                out[e.offset:e.offset + e.size] = np.asarray(g, dtype=np.float64).ravel()
-        return out
+        return self._gather(lambda e: grad_map.get((e.branch, e.layer)))
 
 
 # --------------------------------------------------------------------------

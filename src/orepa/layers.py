@@ -15,8 +15,8 @@ one algebra:
 conv and identity default to trainable, avgpool and freqfilter are fixed,
 scaling is trainable by default (freezable).
 
-A branch is written as spec layer objects, the layer items of
-schemas/blockspec-1.json, and `layer_specs` turns them into LayerSpecs:
+A branch is written as spec layer objects, the layer items of the packaged
+orepa/schemas/blockspec-1.json, and `layer_specs` turns them into LayerSpecs:
 spec files and the preset recipes both build through it.
 """
 

@@ -111,7 +111,7 @@ class Tensor:
 
     @property
     def channels(self):
-        return self.data.shape[0] if self.data.ndim == 3 else self.data.shape[1]
+        return self.data.shape[-3]
 
     def astype(self, dtype):
         return Tensor(self.data.astype(np_dtype(dtype)))
@@ -377,9 +377,7 @@ def scale_by_channel(x, gamma):
     gamma = np.asarray(gamma, dtype=x.data.dtype)
     if gamma.shape != (x.channels,):
         raise ShapeError("gamma", (x.channels,), gamma.shape)
-    if x.rank == 3:
-        return Tensor(x.data * gamma[:, None, None])
-    return Tensor(x.data * gamma[None, :, None, None])
+    return Tensor(x.data * gamma[:, None, None])
 
 
 def sum_over(tensors):

@@ -14,6 +14,8 @@ from orepa.cli import main
 from orepa.okt import read_okt, write_okt
 from orepa.tensor import KernelTensor, Tensor
 
+from util import okt_bytes
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "blockspec-1.json"
@@ -108,30 +110,25 @@ def test_verify_nan_kernel_json_report_is_strict_json(tmp_path):
     assert report["pass"] is False
 
 
-def _okt_bytes(header, payload=b""):
-    blob = json.dumps(header).encode()
-    return b"OREPAKT1" + struct.pack("<I", len(blob)) + blob + payload
-
-
 # JSON nested deeper than the decoder's recursion limit
 TOO_DEEP = "[" * 100000 + "]" * 100000
 
 MALFORMED_OKT = {
     "garbage": b"garbage",
     "truncated": b"OREPAKT1\x01",
-    "unknown_dtype": _okt_bytes({"dtype": "f16", "shape": [1, 1, 1, 1], "layout": "OIHW",
-                                 "groups": 1}, b"\x00\x00"),
-    "header_not_object": _okt_bytes([1, 2]),
-    "zero_extent": _okt_bytes({"dtype": "f64", "shape": [0, 1, 1, 1], "layout": "OIHW",
-                               "groups": 1}),
-    "unknown_layout": _okt_bytes({"dtype": "f64", "shape": [1, 1, 1, 1], "layout": "HWIO",
-                                  "groups": 1}),
-    "groups_not_dividing": _okt_bytes({"dtype": "f64", "shape": [4, 1, 3, 3], "layout": "OIHW",
-                                       "groups": 3}),
-    "dtype_list": _okt_bytes({"dtype": ["f64"], "shape": [1, 1, 1, 1], "layout": "OIHW",
+    "unknown_dtype": okt_bytes({"dtype": "f16", "shape": [1, 1, 1, 1], "layout": "OIHW",
+                                "groups": 1}, b"\x00\x00"),
+    "header_not_object": okt_bytes([1, 2]),
+    "zero_extent": okt_bytes({"dtype": "f64", "shape": [0, 1, 1, 1], "layout": "OIHW",
+                              "groups": 1}),
+    "unknown_layout": okt_bytes({"dtype": "f64", "shape": [1, 1, 1, 1], "layout": "HWIO",
+                                 "groups": 1}),
+    "groups_not_dividing": okt_bytes({"dtype": "f64", "shape": [4, 1, 3, 3], "layout": "OIHW",
+                                      "groups": 3}),
+    "dtype_list": okt_bytes({"dtype": ["f64"], "shape": [1, 1, 1, 1], "layout": "OIHW",
+                             "groups": 1}, b"\x00" * 8),
+    "layout_list": okt_bytes({"dtype": "f64", "shape": [1, 1, 1, 1], "layout": ["OIHW"],
                               "groups": 1}, b"\x00" * 8),
-    "layout_list": _okt_bytes({"dtype": "f64", "shape": [1, 1, 1, 1], "layout": ["OIHW"],
-                               "groups": 1}, b"\x00" * 8),
     "header_too_deep": b"OREPAKT1" + struct.pack("<I", len(TOO_DEEP)) + TOO_DEEP.encode(),
 }
 
@@ -236,6 +233,7 @@ BAD_FLAGS = {
     "zero_steps": ["train-toy", "--steps", 0],
     "zero_eta": ["train-toy", "--steps", 1, "--eta", 0],
     "nan_weight_decay": ["train-toy", "--steps", 1, "--weight-decay", "nan"],
+    "inf_weight_decay": ["train-toy", "--steps", 1, "--weight-decay", "inf"],
     "lemma_zero_layers": ["dynamics", "--probe", "lemma", "--layers", 0],
     "lemma_negative_layers": ["dynamics", "--probe", "lemma", "--layers", -1],
     "dynamics_nan_eta": ["dynamics", "--probe", "convscale", "--eta", "nan"],

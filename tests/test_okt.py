@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from orepa.okt import MAGIC, FormatError, read_okt, write_okt
 from orepa.tensor import KernelTensor, Tensor
 
+from util import okt_bytes
+
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_kernel_round_trip_bit_exact(tmp_path, dtype):
@@ -63,11 +65,6 @@ def test_truncated_payload_rejected(tmp_path):
         read_okt(path)
 
 
-def _okt_bytes(header, payload, **dumps):
-    blob = json.dumps(header, **dumps).encode()
-    return MAGIC + struct.pack("<I", len(blob)) + blob + payload
-
-
 # the header and payload write_okt writes for a (6, 1, 2, 1) kernel of 3 groups
 HEADER = {"dtype": "f64", "groups": 3, "layout": "OIHW", "shape": [6, 1, 2, 1]}
 PAYLOAD = np.arange(12.0).astype("<f8").tobytes()
@@ -92,7 +89,7 @@ def test_fuzzed_okt_reads_or_raises_format_error(tmp_path_factory, header_edit, 
             header.pop(key, None)
         else:
             header[key] = value
-    raw = bytearray(_okt_bytes(header, PAYLOAD, sort_keys=True, separators=(",", ":")))
+    raw = bytearray(okt_bytes(header, PAYLOAD, sort_keys=True, separators=(",", ":")))
     for pos, byte in edits:
         raw[pos % len(raw)] = byte
     path = tmp_path_factory.mktemp("fuzz") / "k.okt"
@@ -108,7 +105,7 @@ def test_fuzzed_okt_reads_or_raises_format_error(tmp_path_factory, header_edit, 
 
 def test_header_in_any_key_order_or_spacing_reads(tmp_path):
     path = tmp_path / "k.okt"
-    path.write_bytes(_okt_bytes(dict(reversed(HEADER.items())), PAYLOAD, indent=2))
+    path.write_bytes(okt_bytes(dict(reversed(HEADER.items())), PAYLOAD, indent=2))
     back = read_okt(path)
     assert (back.shape, back.groups) == ((6, 1, 2, 1), 3)
     assert back.data.tobytes() == PAYLOAD
@@ -129,6 +126,6 @@ UNWRITTEN_HEADERS = {
 @pytest.mark.parametrize("case", UNWRITTEN_HEADERS)
 def test_header_the_writer_never_writes_is_refused(tmp_path, case):
     path = tmp_path / "k.okt"
-    path.write_bytes(_okt_bytes(UNWRITTEN_HEADERS[case], PAYLOAD))
+    path.write_bytes(okt_bytes(UNWRITTEN_HEADERS[case], PAYLOAD))
     with pytest.raises(FormatError):
         read_okt(path)

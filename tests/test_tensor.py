@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from orepa import tensor
 from orepa.dynamics import _conv_grad_w, _conv_grad_x
 from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError, Tensor, add,
-                          _blocks, _correlate, _correlate_grad_w, conv2d_direct, pad_spatial,
-                          same_padding, scale_by_channel, sum_over)
+                          _blocks, conv2d_direct, pad_spatial, same_padding, scale_by_channel,
+                          sum_over)
 
 from oracles import conv2d_loop, conv_grad_w_loop
 
@@ -30,60 +30,6 @@ def test_same_padded_ones_counts_zero_padding():
     assert y.data[0, 1, 1] == 9.0
     for i, j in ((0, 0), (0, 2), (2, 0), (2, 2)):
         assert y.data[0, i, j] == 4.0
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_conv_matches_loop_oracle(seed):
-    rng = np.random.default_rng(seed)
-    b, ci, h, w = 2, 5, 7, 6
-    groups = [1, 1, 5][seed % 3]
-    co = [3, 4, 10][seed % 3]
-    kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-    padding = tuple(int(p) for p in rng.integers(0, 3, size=4))
-    x = rng.uniform(-1, 1, size=(b, ci, h, w))
-    kern = rng.uniform(-1, 1, size=(co, ci // groups, kh, kw))
-    bias = rng.uniform(-1, 1, size=co)
-    got = conv2d_direct(Tensor(x), KernelTensor(kern, groups=groups),
-                        ConvGeometry(stride=stride, padding=padding), bias=bias)
-    want = conv2d_loop(x, kern, stride=stride, padding=padding, groups=groups, bias=bias)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
-
-
-def test_spec_random_case_against_oracle():
-    # random x (2x5x5), random w (3x2x3x3), pad 1
-    rng = np.random.default_rng(1234)
-    x = rng.uniform(-1, 1, size=(1, 2, 5, 5))
-    kern = rng.uniform(-1, 1, size=(3, 2, 3, 3))
-    geom = ConvGeometry(padding=(1, 1, 1, 1))
-    got = conv2d_direct(Tensor(x), KernelTensor(kern), geom)
-    want = conv2d_loop(x, kern, padding=(1, 1, 1, 1))
-    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
-
-
-def test_even_kernel_allowed_in_direct_conv():
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-1, 1, size=(1, 2, 6, 6))
-    kern = rng.uniform(-1, 1, size=(3, 2, 2, 2))
-    got = conv2d_direct(Tensor(x), KernelTensor(kern))
-    want = conv2d_loop(x, kern)
-    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
-    assert got.shape == (1, 3, 5, 5)
-
-
-def test_depthwise_equals_per_channel_correlation():
-    rng = np.random.default_rng(7)
-    c, h, w, k = 4, 8, 8, 3
-    x = rng.uniform(-1, 1, size=(c, h, w))
-    kern = rng.uniform(-1, 1, size=(c, 1, k, k))
-    got = conv2d_direct(Tensor(x), KernelTensor(kern, groups=c)).data
-    for ch in range(c):
-        want = np.zeros((h - k + 1, w - k + 1))
-        for i in range(h - k + 1):
-            for j in range(w - k + 1):
-                want[i, j] = np.sum(kern[ch, 0] * x[ch, i:i + k, j:j + k])
-        np.testing.assert_allclose(got[ch], want, rtol=1e-12, atol=1e-12)
 
 
 def _per_channel_correlation(x, w, stride=1):
@@ -156,51 +102,44 @@ def test_dense_conv_above_the_cache_budget_equals_its_items_stacked():
     assert np.array_equal(got, np.stack([conv2d_direct(Tensor(item), w).data for item in x]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(groups=st.integers(1, 3), cig=st.integers(1, 2), cog=st.integers(1, 3),
-       k=st.tuples(st.integers(1, 4), st.integers(1, 4)),
-       stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
-       extra=st.tuples(st.integers(0, 3), st.integers(0, 3)), batch=st.integers(1, 3),
-       budget=st.sampled_from([1, 600, 4000, _CACHE_BUDGET]), seed=st.integers(0, 2 ** 16))
-def test_correlation_in_any_blocks_matches_loop_oracles(groups, cig, cog, k, stride, extra,
-                                                         batch, budget, seed):
-    # budgets below one item's buffers split the work by items, then by
-    # groups of one item; the forward keeps its bits and the weight adjoint
-    # matches the loop whatever the blocks
+@settings(max_examples=100, deadline=None)
+@given(ci=st.integers(1, 12), cog=st.integers(1, 4),
+       hw=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       padding=st.tuples(*[st.integers(0, 2)] * 4),
+       stride=st.tuples(st.integers(1, 2), st.integers(1, 2)), batch=st.integers(1, 3),
+       bias=st.booleans(), budget=st.sampled_from([1, 600, 4000, _CACHE_BUDGET]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_correlation_in_any_blocks_matches_loop_oracles(ci, cog, hw, padding, stride, batch,
+                                                         bias, budget, seed, data):
+    # up to 12 channels hold up to 4 groups of up to 3; one input channel per
+    # group is one GEMM over the taps, more take one GEMM per tap, the first
+    # writing the accumulator; budgets below one item's buffers split the
+    # work by items, then by groups of one item: the forward keeps its bits
+    # whatever the blocks, and the weight adjoint matches the loop
+    groups = data.draw(st.sampled_from([d for d in range(1, ci + 1) if ci % d == 0]))
+    p_t, p_b, p_l, p_r = padding
+    k = (data.draw(st.integers(1, min(5, hw[0] + p_t + p_b))),
+         data.draw(st.integers(1, min(5, hw[1] + p_l + p_r))))
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, groups * cig, k[0] + extra[0], k[1] + extra[1]))
-    w = rng.standard_normal((groups * cog, cig) + k)
-    y = _correlate(x, w, groups, stride)
+    x = rng.standard_normal((batch, ci) + hw)
+    w = KernelTensor(rng.standard_normal((groups * cog, ci // groups) + k), groups=groups)
+    bias = rng.standard_normal(groups * cog) if bias else None
+    geom = ConvGeometry(stride=stride, padding=padding)
+    y = conv2d_direct(Tensor(x), w, geom, bias=bias).data
     g = rng.standard_normal(y.shape)
     with mock.patch.object(tensor, "_CACHE_BUDGET", budget):
-        assert np.array_equal(_correlate(x, w, groups, stride), y)
-        dw = _correlate_grad_w(x, g, k[0], k[1], groups, stride)
-    np.testing.assert_allclose(y, conv2d_loop(x, w, stride=stride, groups=groups),
-                               rtol=1e-12, atol=1e-12)
-    want = conv_grad_w_loop(x, g, k[0], k[1], stride, groups)
-    assert dw.shape == want.shape
-    assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-@settings(max_examples=80, deadline=None)
-@given(groups=st.integers(1, 4), cig=st.integers(1, 3), mult=st.integers(1, 4),
-       hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
-       stride=st.tuples(st.integers(1, 2), st.integers(1, 2)), batch=st.integers(1, 2),
-       seed=st.integers(0, 2 ** 16), data=st.data())
-def test_correlate_matches_the_loop_oracle(groups, cig, mult, hw, stride, batch, seed, data):
-    # one input channel per group is one GEMM over the taps, more take one
-    # GEMM per tap; mult is the count of output channels per group; the first
-    # tap writes the accumulator that the later taps add to
-    k = tuple(data.draw(st.integers(1, e)) for e in hw)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, groups * cig) + hw)
-    w = rng.standard_normal((groups * mult, cig) + k)
-    y = _correlate(x, w, groups, stride)
-    want = conv2d_loop(x, w, stride=stride, groups=groups)
+        assert np.array_equal(conv2d_direct(Tensor(x), w, geom, bias=bias).data, y)
+        dw = _conv_grad_w(x, g, w, geom)
+    want = conv2d_loop(x, w.data, stride, padding, groups, bias)
     assert y.shape == want.shape
     # relative to the sum of |products|, so that a cancelling sum cannot fail it
-    scale = conv2d_loop(np.abs(x), np.abs(w), stride=stride, groups=groups)
+    scale = conv2d_loop(np.abs(x), np.abs(w.data), stride, padding, groups,
+                        None if bias is None else np.abs(bias))
     assert np.all(np.abs(y - want) <= 1e-12 * scale)
+    xp = np.pad(x, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r)))
+    want = conv_grad_w_loop(xp, g, k[0], k[1], stride, groups)
+    assert dw.shape == want.shape
+    assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
