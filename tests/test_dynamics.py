@@ -293,6 +293,26 @@ def test_conv_adjoints_dot_product_identity(layout, stride, k):
         assert abs(np.vdot(dx, x) - lhs) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("k1,k2", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
+def test_merge_adjoint_dot_product_identity(k1, k2):
+    # merge_sequential is bilinear, so <G, merge(w1, w2)> = <dw1, w1> = <dw2, w2>;
+    # a grouped w1's native gradient is its dense gradient's diagonal blocks
+    rng = np.random.default_rng(10 * k1 + k2)
+    for groups, cig, cog in [(1, 3, 5), (2, 2, 3), (6, 1, 1), (3, 1, 2)]:
+        w1 = KernelTensor(rng.standard_normal((groups * cog, cig, k1, k1 + 1)), groups=groups)
+        w2 = KernelTensor(rng.standard_normal((4, groups * cog, k2, k2)))
+        merged = merge_sequential(w1, w2).data
+        gout = rng.standard_normal(merged.shape)
+        lhs = np.vdot(gout, merged)
+        dw1, dw2 = _merge_backward(w1, w2, gout)
+        assert (dw1.shape, dw2.shape) == (w1.shape, w2.shape)
+        assert np.vdot(dw1, w1.data) == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert np.vdot(dw2, w2.data) == pytest.approx(lhs, rel=1e-12, abs=0)
+        dense_dw1, dense_dw2 = _merge_backward(L.as_dense(w1), w2, gout)
+        np.testing.assert_allclose(dw1, _dense_grad_to_native(dense_dw1, w1), rtol=1e-12)
+        np.testing.assert_allclose(dw2, dense_dw2, rtol=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(groups=st.integers(1, 6), cig=st.integers(1, 4), cog=st.integers(1, 5),
        c2=st.integers(1, 4), k1=st.tuples(st.integers(1, 3), st.integers(1, 4)),
@@ -329,8 +349,7 @@ def test_merge_backward_matches_loop_oracle(groups, cig, cog, c2, k1, k2, one_by
         for dw, w in ((dw1, a), (dw2, b)):
             got = np.vdot(dw.astype(np.float64), w.data.astype(np.float64))
             assert abs(got - lhs) <= rtol * scale
-    # the native gradient of a grouped w1 is its dense expansion's gradient
-    # restricted to the diagonal blocks
+    # a grouped w1's native gradient is its dense gradient's diagonal blocks
     dense_dw1, dense_dw2 = _merge_backward(L.as_dense(w1), w2, gout)
     np.testing.assert_allclose(_dense_grad_to_native(dense_dw1, w1), want1, rtol=1e-12,
                                atol=1e-12 * np.abs(want1).max())
