@@ -596,6 +596,8 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
     mode "online" differentiates through the squeeze; "offline" through
     the expanded evaluation. Same seed means the same batch and the same
     trajectory up to floating-point noise between the two routes.
+    diverged_at is the first step whose loss is not finite, `steps` for the
+    loss after the last update, or None.
     """
     if mode not in ("online", "offline"):
         raise ValueError("mode must be 'online' or 'offline'")
@@ -632,8 +634,8 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
         if record_params:
             history.append(ps.get_flat())
     final_loss, _ = current_loss()
-    return {"losses": losses, "final_loss": final_loss, "diverged_at": None,
-            "params": history}
+    return {"losses": losses, "final_loss": final_loss,
+            "diverged_at": None if np.isfinite(final_loss) else steps, "params": history}
 
 
 def _aligned_branch_kernels(block):

@@ -5,18 +5,19 @@ convention. With symmetric "same" padding the output pixel at (h, w) reads
 the input window centered at (h, w), i.e. taps are offset by
 k - floor((K - 1) / 2) along each spatial axis.
 
-Two private tap-loop kernels carry every convolution over feature maps:
-_correlate, a VALID strided grouped cross-correlation, and its weight
-adjoint _correlate_grad_w. conv2d_direct pads x and correlates.
+Two private kernels carry every convolution over feature maps: _correlate,
+a VALID strided grouped cross-correlation, and its weight adjoint
+_correlate_grad_w. conv2d_direct pads x and correlates.
 
 Both run in blocks of batch items or of groups (_blocks) whose working
 buffers fit _CACHE_BUDGET bytes, so a large map is not streamed through
 memory once per tap; a small map is one block. The buffers are allocated
-per call; none outlives one. A channel-wise block (one input channel per
-group) is one GEMM over copies of its tap windows; any other forward block
-is one GEMM per tap. Either way every output element of the forward is the
-same arithmetic whatever the blocks, so it keeps its bits; the weight
-adjoint sums items and positions block by block.
+per call; none outlives one. The forward is one GEMM over copies of tap
+windows: per block for a channel-wise layout (one input channel per
+group), and per tile of output rows, fixed by the layer shape, for a
+dense or grouped one. Every output element of the forward is then the
+same arithmetic whatever the blocks, so it keeps its bits. The weight
+adjoint is one GEMM per tap and sums items and positions block by block.
 """
 
 from __future__ import annotations
@@ -235,19 +236,23 @@ def _blocks(b, groups, unit):
 
 
 def _correlate(x, w, groups=1, stride=(1, 1)):
-    """VALID grouped cross-correlation as batched GEMMs over the kernel taps.
+    """VALID grouped cross-correlation as GEMMs over copied tap windows.
 
     y[b, o, h, v] = sum_{c, i, j} w[o, c, i, j] * x[b, c', s_h*h + i, s_w*v + j]
     for x (B, C, H, W) and w (Co, C // groups, kH, kW), c' running over the
-    channels of o's group; groups are the matmul batch axis. On an image
-    flattened over (row, column), tap (i, j) is a shift by i*W + j, and the
-    output is computed in rows as wide as the input, of which the VALID
-    columns are kept. With one input channel per group (depthwise, channel
-    multiplier, pooling) a block copies its kH*kW shifted rows into one
-    buffer and contracts the taps in one GEMM; with more, each tap is a
-    GEMM of a view of x whose product is added to an accumulator. The work
-    runs in _blocks, so the buffers of a large map stay in cache. A stride
-    splits x and w into phases, each a stride-1 correlation.
+    channels of o's group; groups are the matmul batch axis.
+
+    With more than one input channel per group, each tile of _tile_rows
+    output rows is one GEMM of w, viewed as (groups, Co // groups,
+    C // groups * kH * kW), against a copy of the tile's windows in w's
+    (c, i, j) order, written straight into y; a 1x1 kernel is one GEMM on x.
+    With one (depthwise, channel multiplier, pooling), a block copies its
+    kH*kW rows of x flattened over (row, column), each shifted by i*W + j,
+    and contracts them in one GEMM into an accumulator as wide as x, of
+    which the VALID columns are kept; row tiles measured slower there.
+    Either way the work runs in _blocks, so the buffers of a large map stay
+    in cache, and no output's GEMM depends on the blocks. A stride splits x
+    and w into phases, each a stride-1 correlation.
     """
     b, _, hgt, wid = x.shape
     co, cig, kh, kw = w.shape
@@ -257,42 +262,60 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
         return sum(_correlate(x[..., p::s_h, q::s_w], w[..., p::s_h, q::s_w], groups)[..., :ho, :wo]
                    for p in range(min(s_h, kh)) for q in range(min(s_w, kw)))
     dt = np.result_type(x, w)
-    cog, n = co // groups, ho * wid - (kw - 1)
-    xf = x.reshape(b, groups, cig, -1)
-    if cig == 1:
-        # windows[b, g, i, j] is x's flattened row shifted by tap (i, j), a view
-        # that reads only inside x, as i*W + j + n <= H*W
-        s = xf.strides
+    cog = co // groups
+    if cig > 1:
+        k, s = cig * kh * kw, x.strides
+        wk = w.reshape(groups, cog, k)
+        y = np.empty((b, groups, cog, ho * wo), dtype=dt)
+        if kh == kw == 1:
+            return np.matmul(wk, x.reshape(b, groups, cig, -1), out=y).reshape(b, co, ho, wo)
+        # windows[b, g, c, i, j, h, v] = x[b, g * cig + c, h + i, v + j], a view
         windows = np.lib.stride_tricks.as_strided(
-            xf[:, :, 0], (b, groups, kh, kw, n), s[:2] + (wid * s[3], s[3], s[3]),
+            x, (b, groups, cig, kh, kw, ho, wo), (s[0], cig * s[1]) + s[1:] + s[2:],
             writeable=False)
-        wt = np.ascontiguousarray(w.reshape(groups, cog, kh * kw))
-        buf_shape, unit = (kh, kw, n), kh * kw * n + cog * ho * wid
-    else:
-        wt = np.ascontiguousarray(w.reshape(groups, cog, cig, -1).transpose(3, 0, 1, 2))
-        buf_shape, unit = (cog, n), 2 * cog * ho * wid
-    blocks = _blocks(b, groups, unit * dt.itemsize)
+        rows = _tile_rows(k, ho, wo, dt.itemsize)
+        blocks = _blocks(b, groups, k * rows * wo * dt.itemsize)
+        ib, gb = blocks[0]
+        buf = np.empty((ib.stop - ib.start) * (gb.stop - gb.start) * k * rows * wo, dtype=dt)
+        for ib, gb in blocks:
+            ni, ng = ib.stop - ib.start, gb.stop - gb.start
+            for h in range(0, ho, rows):
+                r = min(rows, ho - h)
+                p = buf[:ni * ng * k * r * wo].reshape(ni, ng, cig, kh, kw, r, wo)
+                p[...] = windows[ib, gb, ..., h:h + r, :]
+                np.matmul(wk[gb], p.reshape(ni, ng, k, r * wo),
+                          out=y[ib, gb, :, h * wo:(h + r) * wo])
+        return y.reshape(b, co, ho, wo)
+    n = ho * wid - (kw - 1)
+    xf = x.reshape(b, groups, -1)
+    # windows[b, g, i, j] is x's flattened row shifted by tap (i, j), a view
+    # that reads only inside x, as i*W + j + n <= H*W
+    s = xf.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xf, (b, groups, kh, kw, n), s[:2] + (wid * s[2], s[2], s[2]), writeable=False)
+    wt = np.ascontiguousarray(w.reshape(groups, cog, kh * kw))
+    blocks = _blocks(b, groups, (kh * kw * n + cog * ho * wid) * dt.itemsize)
     ib, gb = blocks[0]
     acc = np.empty((ib.stop - ib.start, gb.stop - gb.start, cog, ho * wid), dtype=dt)
-    buf = np.empty(acc.shape[:2] + buf_shape, dtype=dt)
+    buf = np.empty(acc.shape[:2] + (kh, kw, n), dtype=dt)
     y = np.empty((b, groups, cog, ho, wo), dtype=dt)
     for ib, gb in blocks:
         ni, ng = ib.stop - ib.start, gb.stop - gb.start
         # the accumulator's last kw - 1 columns are never written or read
         a, p = acc[:ni, :ng], buf[:ni, :ng]
-        if cig == 1:
-            # a copy of the block's tap windows, contracted over the taps
-            p[...] = windows[ib, gb]
-            np.matmul(wt[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
-        else:
-            for t in range(kh * kw):
-                off = t // kw * wid + t % kw
-                # tap 0 writes the accumulator; p holds each later tap's product
-                np.matmul(wt[t, gb], xf[ib, gb, :, off:off + n], out=p if t else a[..., :n])
-                if t:
-                    np.add(a[..., :n], p, out=a[..., :n])
+        p[...] = windows[ib, gb]
+        np.matmul(wt[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
         y[ib, gb] = a.reshape(a.shape[:-1] + (ho, wid))[..., :wo]
     return y.reshape(b, co, ho, wo)
+
+
+def _tile_rows(k, ho, wo, itemsize):
+    """Output rows per GEMM of a dense or grouped correlation with ho rows
+    of wo pixels: the most whose windows, k = C // groups * kH * kW values
+    per pixel, fit 1 MiB, and at least one. It is fixed by the layer shape,
+    not by _CACHE_BUDGET, because a BLAS GEMM may round a column differently
+    at different column counts."""
+    return min(ho, max(1, (1 << 20) // (k * wo * itemsize)))
 
 
 def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1)):

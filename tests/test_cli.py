@@ -513,6 +513,17 @@ def test_train_toy_online_offline_same_loss(tmp_path):
     assert reports["online"]["final_loss"] < reports["online"]["first_loss"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_train_toy_diverging_in_its_last_update_exits_1(tmp_path, capsys):
+    # one step at eta 1e300 leaves a finite first loss and a NaN final one
+    out = tmp_path / "r.json"
+    rc = run(["train-toy", DATA / "orepa3x3.json", "--steps", 1, "--eta", 1e300, "--json", out])
+    assert rc == 1
+    assert "diverged at step 1" in capsys.readouterr().out
+    assert json.loads(out.read_text())["diverged_at"] == 1
+
+
 def test_analyze_two_identical_branches(tmp_path):
     doc, block = load_spec(DATA / "two_identical.json")
     # force branch 1 to mirror branch 0 exactly

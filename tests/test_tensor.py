@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from orepa import tensor
 from orepa.dynamics import _conv_grad_w, _conv_grad_x
 from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError, Tensor, add,
-                          _blocks, conv2d_direct, pad_spatial, same_padding, scale_by_channel,
-                          sum_over)
+                          _blocks, _tile_rows, conv2d_direct, pad_spatial, same_padding,
+                          scale_by_channel, sum_over)
 
 from oracles import conv2d_loop, conv_grad_w_loop
 
@@ -92,14 +92,47 @@ def test_strided_channelwise_conv_with_phases_above_the_cache_budget():
 
 
 def test_dense_conv_above_the_cache_budget_equals_its_items_stacked():
-    # one item's product and accumulator outgrow the budget, so the batch
-    # runs item by item, each exactly as a call on that item alone
+    # one item's tile of tap windows fills the budget, so the batch runs
+    # item by item, each exactly as a call on that item alone
     rng = np.random.default_rng(37)
     x = rng.standard_normal((3, 64, 58, 58))
     w = KernelTensor(rng.standard_normal((64, 64, 3, 3)))
-    assert len(_blocks(3, 1, 2 * 64 * 56 * 58 * x.itemsize)) == 3
+    k = 64 * 3 * 3
+    assert len(_blocks(3, 1, k * _tile_rows(k, 56, 56, x.itemsize) * 56 * x.itemsize)) == 3
     got = conv2d_direct(Tensor(x), w).data
     assert np.array_equal(got, np.stack([conv2d_direct(Tensor(item), w).data for item in x]))
+
+
+@pytest.mark.parametrize("x_shape,w_shape,groups", [((4, 32, 30, 30), (32, 32, 3, 3), 1),
+                                                    ((4, 32, 32, 32), (32, 32, 5, 5), 1),
+                                                    ((2, 64, 60, 60), (64, 64, 3, 3), 1),
+                                                    ((4, 32, 30, 30), (32, 16, 3, 3), 2)],
+                         ids=["32-3x3", "32-5x5", "64-3x3", "32-3x3-g2"])
+def test_dense_and_grouped_conv_keep_their_bits_in_any_blocks(x_shape, w_shape, groups):
+    # a BLAS GEMM may round a column differently at another column count, so
+    # the forward must not let the budget choose how many columns share a
+    # GEMM: blocks of one item and group, of whole items, one block, and
+    # one item per call all give the same bits
+    rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+    x = rng.standard_normal(x_shape)
+    w = KernelTensor(rng.standard_normal(w_shape), groups=groups)
+    want = conv2d_direct(Tensor(x), w).data
+    for budget in (1, 600, 4000, 1 << 40):
+        with mock.patch.object(tensor, "_CACHE_BUDGET", budget):
+            assert np.array_equal(conv2d_direct(Tensor(x), w).data, want)
+    assert np.array_equal(np.stack([conv2d_direct(Tensor(item), w).data for item in x]), want)
+
+
+def test_dense_conv_in_row_tiles_matches_the_loop_oracle():
+    # 7 output rows of 576-value windows 57 wide run as tiles of 3, 3 and 1 rows
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((1, 64, 9, 59))
+    w = rng.standard_normal((2, 64, 3, 3))
+    rows = _tile_rows(64 * 3 * 3, 7, 57, x.itemsize)
+    assert 7 // rows >= 2 and 7 % rows
+    got = conv2d_direct(Tensor(x), KernelTensor(w)).data
+    err = np.abs(got - conv2d_loop(x, w))
+    assert np.all(err <= 1e-12 * conv2d_loop(np.abs(x), np.abs(w)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,18 +177,26 @@ def test_correlation_in_any_blocks_matches_loop_oracles(ci, cog, hw, padding, st
 
 def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     # tracemalloc counts numpy's buffers exactly: a buffer the size of the
-    # whole map per tap, or a copy of a dense input, would exceed the bounds
+    # whole map per tap, a copy of a dense input, or a product or kernel
+    # copy beside a dense accumulator would exceed the bounds
     rng = np.random.default_rng(31)
     x = Tensor(rng.standard_normal((2, 64, 58, 58)))
     w = KernelTensor(rng.standard_normal((64, 1, 3, 3)), groups=64)
     w_mult = KernelTensor(rng.standard_normal((512, 1, 3, 3)), groups=64)
     w_dense = KernelTensor(rng.standard_normal((64, 64, 3, 3)))
     g = rng.standard_normal((2, 64, 56, 56))
-    # the input gradient pads g by kh - 1 on each side before it correlates
+    # the input gradient pads g by kh - 1 on each side before it correlates,
+    # and copies the kernel flipped with its in- and out-channels swapped
     g_padded = np.pad(g, ((0, 0), (0, 0), (2, 2), (2, 2)))
+    # same padding makes x_in (2, 64, 56, 56) a padded copy of x's shape
+    x_in = Tensor(x.data[..., 1:-1, 1:-1])
     cases = [(lambda: conv2d_direct(x, w), g.nbytes + _CACHE_BUDGET),
              (lambda: conv2d_direct(x, w_mult), 8 * g.nbytes + _CACHE_BUDGET),
+             (lambda: conv2d_direct(x_in, w_dense, same_padding(3, 3)),
+              x.data.nbytes + g.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_x(g, w), g_padded.nbytes + x.data.nbytes + _CACHE_BUDGET),
+             (lambda: _conv_grad_x(g, w_dense),
+              g_padded.nbytes + w_dense.data.nbytes + x.data.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w, ConvGeometry()), _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w_dense, ConvGeometry()), x.data.nbytes + _CACHE_BUDGET)]
     for op, bound in cases:
