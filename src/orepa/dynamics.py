@@ -115,41 +115,38 @@ def _conv_grad_x(gout, kernel):
 
 
 def _merge_backward(w1, w2, gout):
-    """Adjoint of merge_sequential for a grouped w1 and a dense w2, given
-    gout, the dense merged kernel's gradient; dw1 comes in w1's native
-    shape.
+    """Adjoint of merge_sequential for a grouped w1 and a dense w2, given gout,
+    the dense merged kernel's gradient; dw1 comes in w1's native shape.
 
-    When either kernel is 1x1, gout regrouped to (C2, G, C0 / G * k1h * k1w,
-    k2h * k2w) already holds every window of the merge, one row per w1
-    element and one column per w2 tap, so each gradient is one batched
-    GEMM over all taps: dw1 over G, contracting C2 and w2's taps, and dw2
-    over G for a 1x1 w2 and over (C2, G) for a 1x1 w1. When both are
-    wider, the windows overlap and each gradient is a weight adjoint of
-    correlating gout: dw1 against w2 with w1's groups, dw2 against w1 with
-    the channel roles swapped per group, gout regrouped to
-    (C0 / G, G * C2, ...) against w1 transposed to (C0 / G, C1, ...)."""
-    g, cig = w1.groups, w1.in_channels_per_group
-    c2, _, keh, kew = gout.shape
-    if w1.kh * w1.kw > 1 and w2.kh * w2.kw > 1:
-        dw1 = _correlate_grad_w(gout, w2.data, w1.kh, w1.kw, g)
-        gout_t = gout.reshape(c2, g, cig, keh, kew).transpose(2, 1, 0, 3, 4).reshape(
-            cig, g * c2, keh, kew)
-        dw2 = _correlate_grad_w(gout_t, w1.data.transpose(1, 0, 2, 3), w2.kh, w2.kw, g)
-        return dw1, dw2.transpose(1, 0, 2, 3)
-    cog, k2 = w1.out_channels // g, w2.kh * w2.kw
-    # win[o, g, (p, i, j), (a, b)] = gout[o, g * cig + p, i + a, j + b]
-    win = gout.reshape(c2, g, -1, k2)
+    For a 1x1 w1 and a wider w2, whose taps never overlap, gout regrouped
+    to (C2, G, C0 / G, k2h * k2w) holds every window of the merge, so each
+    gradient is one batched GEMM over all taps: dw1 over G, contracting C2
+    and w2's taps, and dw2 over (C2, G). Every other pair runs the merge's
+    tap loop backward: the window gout[:, :, a:a + k1h, b:b + k1w] of w2's tap
+    (a, b), as (G, C2, C0 / G * k1h * k1w), adds w2_tap^T @ window to dw1 and
+    gives dw2's tap as window @ w1^T, one GEMM each over G; a 1x1 w2 is one tap."""
+    g, cig, k1h, k1w = w1.groups, w1.in_channels_per_group, w1.kh, w1.kw
+    c2, cog, k2 = gout.shape[0], w1.out_channels // g, w2.kh * w2.kw
     w1_rows = w1.data.reshape(g, cog, -1)
-    # dw1[g, c, (p, i, j)] = sum_{o, (a, b)} w2[o, g, c, (a, b)] * win[o, g, (p, i, j), (a, b)]
-    # dw2[o, g, c, (a, b)] = sum_{(p, i, j)} w1[g, c, (p, i, j)] * win[o, g, (p, i, j), (a, b)]
-    dw1 = np.matmul(w2.data.reshape(c2, g, cog, k2).transpose(1, 2, 0, 3).reshape(g, cog, -1),
-                    win.transpose(1, 0, 3, 2).reshape(g, c2 * k2, -1))
-    if k2 == 1:
-        dw2 = np.empty((c2, g, cog), dtype=np.result_type(w1.data, gout))
-        np.matmul(w1_rows, win[..., 0].transpose(1, 2, 0), out=dw2.transpose(1, 2, 0))
-    else:
-        dw2 = np.matmul(w1_rows, win)
-    return dw1.reshape(w1.shape), dw2.reshape(w2.shape)
+    if k1h * k1w == 1 < k2:
+        # win[o, g, p, (a, b)] = gout[o, g * cig + p, a, b]
+        win = gout.reshape(c2, g, cig, k2)
+        # dw1[g, c, p] = sum_{o, (a, b)} w2[o, g, c, (a, b)] * win[o, g, p, (a, b)]
+        # dw2[o, g, c, (a, b)] = sum_p w1[g, c, p] * win[o, g, p, (a, b)]
+        dw1 = np.matmul(w2.data.reshape(c2, g, cog, k2).transpose(1, 2, 0, 3).reshape(g, cog, -1),
+                        win.transpose(1, 0, 3, 2).reshape(g, c2 * k2, -1))
+        return dw1.reshape(w1.shape), np.matmul(w1_rows, win).reshape(w2.shape)
+    w2_taps = w2.data.reshape(c2, g, cog, k2)
+    dw1 = np.zeros(w1_rows.shape, dtype=np.result_type(w1.data, gout))
+    dw2 = np.empty((k2, c2, g, cog), dtype=dw1.dtype)  # taps first: each tap is one GEMM's out
+    gout_g = gout.reshape((c2, g, cig) + gout.shape[2:])
+    for t, (a, b) in enumerate(np.ndindex(w2.kh, w2.kw)):
+        # window[g, o, (p, i, j)] = gout[o, g * cig + p, a + i, b + j], a view for a 1x1 w2
+        window = gout_g[..., a:a + k1h, b:b + k1w].reshape(c2, g, -1).transpose(1, 0, 2)
+        dw1 += w2_taps[..., t].transpose(1, 2, 0) @ window
+        np.matmul(window, w1_rows.transpose(0, 2, 1), out=dw2[t].transpose(1, 0, 2))
+        del window  # freed before the next tap's copy
+    return dw1.reshape(w1.shape), dw2.transpose(1, 2, 3, 0).reshape(w2.shape)
 
 
 def _dense_grad_to_native(grad, kernel):

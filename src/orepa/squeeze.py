@@ -8,9 +8,10 @@ When either kernel is 1x1 (DBB's 1x1-kxk sequences, a 1x1 conv before a
 pooling or filter layer, a depthwise kernel before a pointwise one), every
 merged tap takes exactly one tap of each, so the merge is one batched GEMM
 over all taps of the wider kernel, written straight into the merged
-kernel, and dynamics._merge_backward takes each gradient in one batched
-GEMM as well. Only two kernels both wider than 1x1 (stacked kxk stems)
-keep a loop over the second kernel's taps, and their adjoint correlates.
+kernel. Only two kernels both wider than 1x1 (stacked kxk stems) loop over
+the second kernel's taps. The merge adjoint, dynamics._merge_backward, runs
+that tap loop backward (a 1x1 second kernel is one tap), except for a 1x1
+first kernel before a wider one, whose gradients are one batched GEMM each.
 Parallel branches merge by center-aligned zero embedding and tap-wise
 summation, which requires odd extents. The squeeze trace and cost_report
 model the dense algebra (every grouped layer expanded, then merged),

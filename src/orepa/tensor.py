@@ -262,10 +262,12 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
         return sum(_correlate(x[..., p::s_h, q::s_w], w[..., p::s_h, q::s_w], groups)[..., :ho, :wo]
                    for p in range(min(s_h, kh)) for q in range(min(s_w, kw)))
     dt = np.result_type(x, w)
-    cog = co // groups
+    cog, k = co // groups, cig * kh * kw
+    # a copy where w is not contiguous: _conv_grad_x passes channel-wise kernels
+    # as flipped views with negative strides, and np.matmul runs those outside BLAS
+    wk = np.ascontiguousarray(w.reshape(groups, cog, k))
     if cig > 1:
-        k, s = cig * kh * kw, x.strides
-        wk = w.reshape(groups, cog, k)
+        s = x.strides
         y = np.empty((b, groups, cog, ho * wo), dtype=dt)
         if kh == kw == 1:
             return np.matmul(wk, x.reshape(b, groups, cig, -1), out=y).reshape(b, co, ho, wo)
@@ -293,7 +295,6 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
     s = xf.strides
     windows = np.lib.stride_tricks.as_strided(
         xf, (b, groups, kh, kw, n), s[:2] + (wid * s[2], s[2], s[2]), writeable=False)
-    wt = np.ascontiguousarray(w.reshape(groups, cog, kh * kw))
     blocks = _blocks(b, groups, (kh * kw * n + cog * ho * wid) * dt.itemsize)
     ib, gb = blocks[0]
     acc = np.empty((ib.stop - ib.start, gb.stop - gb.start, cog, ho * wid), dtype=dt)
@@ -304,7 +305,7 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
         # the accumulator's last kw - 1 columns are never written or read
         a, p = acc[:ni, :ng], buf[:ni, :ng]
         p[...] = windows[ib, gb]
-        np.matmul(wt[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
+        np.matmul(wk[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
         y[ib, gb] = a.reshape(a.shape[:-1] + (ho, wid))[..., :wo]
     return y.reshape(b, co, ho, wo)
 

@@ -253,6 +253,26 @@ def test_offline_backward_allocation_bound():
     assert peak <= 1.02 * 17.94 * 2 ** 20
 
 
+@pytest.mark.parametrize("w1_shape,groups,w2_shape,measured", [
+    ((32, 32, 5, 5), 1, (32, 32, 3, 3), 689656),
+    ((64, 16, 3, 3), 4, (48, 64, 3, 3), 591352)])
+def test_merge_backward_allocation_bound(w1_shape, groups, w2_shape, measured):
+    # the measured peak plus 2%: dw1, dw2, one tap window of gout and one
+    # dw1-sized product (688128 and 589824 bytes) fit under it; a second
+    # window alive at once, 204800 or 221184 bytes, exceeds it
+    rng = np.random.default_rng(0)
+    w1 = KernelTensor(rng.standard_normal(w1_shape), groups=groups)
+    w2 = KernelTensor(rng.standard_normal(w2_shape))
+    gout = rng.standard_normal(merge_sequential(w1, w2).shape)
+    tracemalloc.start()
+    try:
+        _merge_backward(w1, w2, gout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * measured
+
+
 # (groups, in channels, out channels, extents, batch) per layout; the
 # layouts past 4 run the tap loops in several blocks of tensor._blocks:
 # 61 and 64 are channel-wise maps at 58x58, 61 leaving a remainder block;
@@ -319,9 +339,11 @@ def test_merge_adjoint_dot_product_identity(k1, k2):
        k2=st.tuples(st.integers(1, 3), st.integers(1, 3)),
        one_by_one=st.sampled_from(["w1", "w2", "neither"]), seed=st.integers(0, 2 ** 16))
 def test_merge_backward_matches_loop_oracle(groups, cig, cog, c2, k1, k2, one_by_one, seed):
-    # "w1" and "w2" force that side to 1x1 (one GEMM over all taps); "neither"
-    # keeps the drawn extents, which mostly take the tap-loop path; a grouped
-    # w1 merges in its native layout into a dense kernel
+    # "w1" forces a 1x1 w1, which takes the batched GEMM over all of w2's taps
+    # (the tap loop's one tap if w2 is drawn 1x1 too); "w2" forces a 1x1 w2, the
+    # tap loop's one tap; "neither" keeps the drawn extents, which mostly take
+    # the tap loop over w2's taps; a grouped w1 merges in its native layout
+    # into a dense kernel
     k1 = (1, 1) if one_by_one == "w1" else k1
     k2 = (1, 1) if one_by_one == "w2" else k2
     rng = np.random.default_rng(seed)
@@ -630,6 +652,53 @@ def test_train_toy_divergence_reported():
     target = KernelTensor(np.zeros((1, 1, 3, 3)))
     res = train_toy(block, target, 200, OptimizerConfig(eta=1e6), seed=0)
     assert res["diverged_at"] is not None
+
+
+@pytest.mark.parametrize("cfg", [
+    OptimizerConfig(eta=0.5),
+    OptimizerConfig(eta=0.5, momentum=0.9, momentum_mode="standard"),
+    OptimizerConfig(eta=0.5, momentum=0.9),
+    OptimizerConfig(eta=0.5, momentum=0.9, momentum_mode="standard", weight_decay=0.1)])
+def test_frozen_scalings_train_as_one_conv_with_a_gradient_multiplier(cfg):
+    # kxk at gamma 0.25, 1x1 at gamma 1.0 and a fixed identity, all scalings
+    # frozen: W_e = C + sum_b gamma_b * embed(W_b), so each step moves W_e - C
+    # as one conv whose gradient is multiplied by M = sum_b gamma_b^2 on b's
+    # taps (RepOpt's multiplier); the decay acts on W_e - C
+    c, steps = 16, 20
+    rng = np.random.default_rng(0)
+    branches = [build_branch([spec], rng, scaling=np.full(c, gamma), scaling_trainable=False)
+                for spec, gamma in [(L.LayerSpec("conv", c, c, k=3), 0.25),
+                                    (L.LayerSpec("conv", c, c, k=1), 1.0),
+                                    (L.LayerSpec("identity1x1", c, c, trainable=False), 1.0)]]
+    block = BlockGraph(branches=branches)
+    const = np.zeros((c, c, 3, 3))
+    const[np.arange(c), np.arange(c), 1, 1] = 1.0
+    mult = np.full((c, c, 3, 3), 0.25 ** 2)
+    mult[..., 1, 1] += 1.0 ** 2
+    target = KernelTensor(rng.standard_normal((c, c, 3, 3)) * 0.2)
+    w, geom = squeeze_block(block).kernel.data, block.eval_geometry()
+    # train_toy's batch for seed 0
+    x = Tensor(np.random.default_rng(0).standard_normal((2, c, 8, 8)))
+    y_t = conv2d_direct(x, target, geom).data
+    factor = cfg.momentum * (cfg.eta if cfg.momentum_mode == "scaled" else 1.0)
+    losses, kernels, velocity = [], [], 0.0
+    for _ in range(steps):
+        kern = KernelTensor(w)
+        r = conv2d_direct(x, kern, geom).data - y_t
+        losses.append(0.5 * np.mean(r * r))
+        velocity = factor * velocity + mult * _conv_grad_w(x.data, r / r.size, kern, geom)
+        w = const + (1 - cfg.eta * cfg.weight_decay) * (w - const) - cfg.eta * velocity
+        kernels.append(w)
+
+    res = train_toy(block, target, steps, cfg, record_params=True)
+    assert res["diverged_at"] is None and len(res["params"]) == steps
+    ps = ParamSet(block)
+    assert np.max(np.abs(np.subtract(res["losses"], losses))) <= 1e-12 * max(losses)
+    assert losses[-1] < losses[0]
+    for flat, want in zip(res["params"], kernels):
+        ps.set_flat(flat)
+        got = squeeze_block(block).kernel.data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_train_toy_rejects_bad_target_geometry():
