@@ -12,12 +12,13 @@ _correlate_grad_w. conv2d_direct pads x and correlates.
 Both run in blocks of batch items or of groups (_blocks) whose working
 buffers fit _CACHE_BUDGET bytes, so a large map is not streamed through
 memory once per tap; a small map is one block. The buffers are allocated
-per call; none outlives one. The forward is one GEMM over copies of tap
-windows: per block for a channel-wise layout (one input channel per
-group), and per tile of output rows, fixed by the layer shape, for a
-dense or grouped one. Every output element of the forward is then the
-same arithmetic whatever the blocks, so it keeps its bits. The weight
-adjoint is one GEMM per tap and sums items and positions block by block.
+per call; none outlives one. The shapes pick the forward's form: one GEMM
+for a 1x1 kernel, one per block over shifted rows for a stride-1
+channel-wise layout (one input channel per group), else one per tile of
+output rows, fixed by the layer shape, over tap windows read at the
+stride. No output's arithmetic depends on the blocks, so it keeps its
+bits. The weight adjoint is one GEMM per tap and sums items and positions
+block by block; a stride splits it into phases.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def _blocks(b, groups, unit):
     correlation over b items and `groups` groups whose working buffers take
     `unit` bytes per item and group: one block if all fit _CACHE_BUDGET,
     else blocks of whole items if one item fits, else blocks of groups of
-    one item; each at least one item of one group."""
+    one item; each at least one item of one group, the first the largest."""
     fit = max(1, _CACHE_BUDGET // unit)
     ng, ni = min(groups, fit), max(1, min(b, fit // groups))
     ng, ni = -(-groups // -(-groups // ng)), -(-b // -(-b // ni))
@@ -240,73 +241,67 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
 
     y[b, o, h, v] = sum_{c, i, j} w[o, c, i, j] * x[b, c', s_h*h + i, s_w*v + j]
     for x (B, C, H, W) and w (Co, C // groups, kH, kW), c' running over the
-    channels of o's group; groups are the matmul batch axis.
-
-    With more than one input channel per group, each tile of _tile_rows
-    output rows is one GEMM of w, viewed as (groups, Co // groups,
-    C // groups * kH * kW), against a copy of the tile's windows in w's
-    (c, i, j) order, written straight into y; a 1x1 kernel is one GEMM on x.
-    With one (depthwise, channel multiplier, pooling), a block copies its
-    kH*kW rows of x flattened over (row, column), each shifted by i*W + j,
-    and contracts them in one GEMM into an accumulator as wide as x, of
-    which the VALID columns are kept; row tiles measured slower there.
-    Either way the work runs in _blocks, so the buffers of a large map stay
-    in cache, and no output's GEMM depends on the blocks. A stride splits x
-    and w into phases, each a stride-1 correlation.
-    """
+    channels of o's group; groups are the matmul batch axis. The shapes
+    pick the form. A 1x1 kernel, in any layout and at any stride, is one
+    GEMM on x[..., ::s_h, ::s_w]. At stride 1, one input channel per group
+    (depthwise, channel multiplier, pooling) copies its kH*kW rows of x
+    flattened over (row, column), each shifted by i*W + j, into one GEMM per
+    block into an accumulator as wide as x, whose VALID columns are kept;
+    row tiles measured slower there. Every other correlation is one GEMM
+    per tile of _tile_rows output rows against a copy of its windows in w's
+    (c, i, j) order. The stride lives in the window view, which steps s_h
+    rows and s_w columns per output pixel, so each window is copied once
+    and written into y. The work runs in _blocks, so a large map's buffers
+    stay in cache, and no output's GEMM depends on the blocks."""
     b, _, hgt, wid = x.shape
     co, cig, kh, kw = w.shape
     s_h, s_w = stride
     ho, wo = (hgt - kh) // s_h + 1, (wid - kw) // s_w + 1
-    if (s_h, s_w) != (1, 1):
-        return sum(_correlate(x[..., p::s_h, q::s_w], w[..., p::s_h, q::s_w], groups)[..., :ho, :wo]
-                   for p in range(min(s_h, kh)) for q in range(min(s_w, kw)))
     dt = np.result_type(x, w)
     cog, k = co // groups, cig * kh * kw
-    # a copy where w is not contiguous: _conv_grad_x passes channel-wise kernels
-    # as flipped views with negative strides, and np.matmul runs those outside BLAS
-    wk = np.ascontiguousarray(w.reshape(groups, cog, k))
-    if cig > 1:
-        s = x.strides
-        y = np.empty((b, groups, cog, ho * wo), dtype=dt)
-        if kh == kw == 1:
-            return np.matmul(wk, x.reshape(b, groups, cig, -1), out=y).reshape(b, co, ho, wo)
-        # windows[b, g, c, i, j, h, v] = x[b, g * cig + c, h + i, v + j], a view
+    wk = w.reshape(groups, cog, k)
+    # _conv_grad_x passes channel-wise kernels as flipped views, whose
+    # negative strides survive the reshape: np.matmul runs those outside BLAS
+    if min(wk.strides) < 0:
+        wk = np.ascontiguousarray(wk)
+    y = np.empty((b, groups, cog, ho * wo), dtype=dt)
+    if kh == kw == 1:
+        xs = x[..., ::s_h, ::s_w].reshape(b, groups, cig, -1)
+        return np.matmul(wk, xs, out=y).reshape(b, co, ho, wo)
+    if cig == 1 and (s_h, s_w) == (1, 1):
+        n = ho * wid - (kw - 1)
+        xf = x.reshape(b, groups, -1)
+        # windows[b, g, i, j] is x's flattened row shifted by tap (i, j), a view
+        # that reads only inside x, as i*W + j + n <= H*W
+        s = xf.strides
         windows = np.lib.stride_tricks.as_strided(
-            x, (b, groups, cig, kh, kw, ho, wo), (s[0], cig * s[1]) + s[1:] + s[2:],
-            writeable=False)
-        rows = _tile_rows(k, ho, wo, dt.itemsize)
-        blocks = _blocks(b, groups, k * rows * wo * dt.itemsize)
-        ib, gb = blocks[0]
-        buf = np.empty((ib.stop - ib.start) * (gb.stop - gb.start) * k * rows * wo, dtype=dt)
+            xf, (b, groups, kh, kw, n), s[:2] + (wid * s[2], s[2], s[2]), writeable=False)
+        blocks = _blocks(b, groups, (kh * kw * n + cog * ho * wid) * dt.itemsize)
+        buf = np.empty(windows[blocks[0]].shape, dtype=dt)
+        acc = np.empty(buf.shape[:2] + (cog, ho * wid), dtype=dt)
         for ib, gb in blocks:
             ni, ng = ib.stop - ib.start, gb.stop - gb.start
-            for h in range(0, ho, rows):
-                r = min(rows, ho - h)
-                p = buf[:ni * ng * k * r * wo].reshape(ni, ng, cig, kh, kw, r, wo)
-                p[...] = windows[ib, gb, ..., h:h + r, :]
-                np.matmul(wk[gb], p.reshape(ni, ng, k, r * wo),
-                          out=y[ib, gb, :, h * wo:(h + r) * wo])
+            # the accumulator's last kw - 1 columns are never written or read
+            a, p = acc[:ni, :ng], buf[:ni, :ng]
+            p[...] = windows[ib, gb]
+            np.matmul(wk[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
+            y.reshape(b, groups, cog, ho, wo)[ib, gb] = a.reshape(ni, ng, cog, ho, wid)[..., :wo]
         return y.reshape(b, co, ho, wo)
-    n = ho * wid - (kw - 1)
-    xf = x.reshape(b, groups, -1)
-    # windows[b, g, i, j] is x's flattened row shifted by tap (i, j), a view
-    # that reads only inside x, as i*W + j + n <= H*W
-    s = xf.strides
+    s = x.strides
+    # windows[b, g, c, i, j, h, v] = x[b, g * cig + c, s_h * h + i, s_w * v + j], a view
     windows = np.lib.stride_tricks.as_strided(
-        xf, (b, groups, kh, kw, n), s[:2] + (wid * s[2], s[2], s[2]), writeable=False)
-    blocks = _blocks(b, groups, (kh * kw * n + cog * ho * wid) * dt.itemsize)
-    ib, gb = blocks[0]
-    acc = np.empty((ib.stop - ib.start, gb.stop - gb.start, cog, ho * wid), dtype=dt)
-    buf = np.empty(acc.shape[:2] + (kh, kw, n), dtype=dt)
-    y = np.empty((b, groups, cog, ho, wo), dtype=dt)
+        x, (b, groups, cig, kh, kw, ho, wo),
+        (s[0], cig * s[1]) + s[1:] + (s_h * s[2], s_w * s[3]), writeable=False)
+    rows = _tile_rows(k, ho, wo, dt.itemsize)
+    blocks = _blocks(b, groups, k * rows * wo * dt.itemsize)
+    buf = np.empty(windows[blocks[0]][..., :rows, :].size, dtype=dt)
     for ib, gb in blocks:
-        ni, ng = ib.stop - ib.start, gb.stop - gb.start
-        # the accumulator's last kw - 1 columns are never written or read
-        a, p = acc[:ni, :ng], buf[:ni, :ng]
-        p[...] = windows[ib, gb]
-        np.matmul(wk[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
-        y[ib, gb] = a.reshape(a.shape[:-1] + (ho, wid))[..., :wo]
+        for h in range(0, ho, rows):
+            tile = windows[ib, gb, ..., h:h + rows, :]
+            p = buf[:tile.size].reshape(tile.shape)
+            p[...] = tile
+            np.matmul(wk[gb], p.reshape(tile.shape[:2] + (k, -1)),
+                      out=y[ib, gb, :, h * wo:(h + rows) * wo])
     return y.reshape(b, co, ho, wo)
 
 
@@ -327,7 +322,9 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1)):
     and g zero-filled to the same positions, so tap (i, j) is one batched
     GEMM of g against x shifted by i*W + j, contracting items and space; the
     positions past g's extents add zeros. A stride splits x and dw into
-    phases, each a stride-1 adjoint."""
+    phases, each a stride-1 adjoint writing its own taps of dw, so nothing is
+    summed. Only the adjoint keeps phases: strided tile windows, as the
+    forward's, measured faster here but raised the online step's peak."""
     b, c, hgt, wid = x.shape
     co, ho, wo = g.shape[1:]
     cig, cog = c // groups, co // groups

@@ -461,6 +461,21 @@ def test_dynamics_probes(tmp_path, probe, field, check):
     assert check(rep[field])
 
 
+@pytest.mark.parametrize("probe", ["convscale", "shared", "branchwise", "lemma"])
+def test_dynamics_probe_past_the_float_range_fails_without_a_traceback(tmp_path, capsys, probe):
+    # at eta = 1e200 eta^2 and the stepped weights overflow: each probe
+    # reports its residual (and first-order gap, where it has one) as null
+    # and fails, also under pytest's warnings-as-errors
+    out = tmp_path / "rep.json"
+    rc = run(["dynamics", DATA / "orepa3x3.json", "--probe", probe, "--eta", 1e200,
+              "--json", out])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is False
+    assert rep["residual_norm"] is None and rep["first_order_diff"] is None
+
+
 def test_bench_matches_golden(tmp_path):
     out = tmp_path / "rep.json"
     rc = run(["bench", DATA / "orepa3x3.json", "--hw", 56, 56, "--batch", 32,

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,8 @@ from orepa.tensor import ConvGeometry, KernelTensor, Tensor, conv2d_direct
 
 from oracles import (branch_scaling_grad_loop, conv2d_loop, merge_backward_loop,
                      merge_kernels_loop)
-from util import block_graphs, fd_grads_via_expanded, make_random_block, rand_input
+from util import (block_graphs, fd_grads_via_expanded, make_random_block, peak_bytes,
+                  rand_input)
 
 
 # --------------------------------------------------------------------------
@@ -244,13 +243,7 @@ def test_offline_backward_allocation_bound():
     rng = np.random.default_rng(0)
     x = rand_input(rng, block, hw=(56, 56), batch=2)
     g = Tensor(rng.standard_normal((2, 64, 56, 56)))
-    tracemalloc.start()
-    try:
-        backward_through_expanded(block, x, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.02 * 17.94 * 2 ** 20
+    assert peak_bytes(lambda: backward_through_expanded(block, x, g)) <= 1.02 * 17.94 * 2 ** 20
 
 
 @pytest.mark.parametrize("w1_shape,groups,w2_shape,measured", [
@@ -264,13 +257,7 @@ def test_merge_backward_allocation_bound(w1_shape, groups, w2_shape, measured):
     w1 = KernelTensor(rng.standard_normal(w1_shape), groups=groups)
     w2 = KernelTensor(rng.standard_normal(w2_shape))
     gout = rng.standard_normal(merge_sequential(w1, w2).shape)
-    tracemalloc.start()
-    try:
-        _merge_backward(w1, w2, gout)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.02 * measured
+    assert peak_bytes(lambda: _merge_backward(w1, w2, gout)) <= 1.02 * measured
 
 
 # (groups, in channels, out channels, extents, batch) per layout; the

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +12,7 @@ from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError,
                           scale_by_channel, sum_over)
 
 from oracles import conv2d_loop, conv_grad_w_loop
+from util import peak_bytes
 
 
 def test_scalar_product():
@@ -79,13 +79,14 @@ def test_channelwise_conv_above_the_cache_budget_keeps_tap_order(shape, dtype, m
     assert np.all(err <= k[0] * k[1] * np.finfo(x.data.dtype).eps * scale)
 
 
-def test_strided_channelwise_conv_with_phases_above_the_cache_budget():
+def test_strided_channelwise_conv_above_the_cache_budget():
     rng = np.random.default_rng(29)
     x = rng.uniform(-1, 1, size=(2, 64, 116, 116))
     w = rng.uniform(-1, 1, size=(64, 1, 3, 3))
-    # the four stride phases correlate (2, 64, 58, 58) maps with 2x2 to 1x1
-    # taps; the 2x2 phase's windows and accumulator take 4 * n + 57 * 58 elements
-    assert len(_blocks(2, 64, (4 * (57 * 58 - 1) + 57 * 58) * x.itemsize)) > 1
+    # the stride-2 windows of one channel, k = 9 values for each of 57 rows
+    # of 57 pixels, take 233928 bytes in one tile: a block holds 4 groups
+    assert _tile_rows(9, 57, 57, x.itemsize) == 57
+    assert len(_blocks(2, 64, 9 * 57 * 57 * x.itemsize)) > 1
     got = conv2d_direct(Tensor(x), KernelTensor(w, groups=64), ConvGeometry(stride=(2, 2))).data
     np.testing.assert_allclose(got, _per_channel_correlation(x, w, stride=2),
                                rtol=1e-12, atol=1e-12)
@@ -144,11 +145,12 @@ def test_dense_conv_in_row_tiles_matches_the_loop_oracle():
        seed=st.integers(0, 2 ** 16), data=st.data())
 def test_correlation_in_any_blocks_matches_loop_oracles(ci, cog, hw, padding, stride, batch,
                                                          bias, budget, seed, data):
-    # up to 12 channels hold up to 4 groups of up to 3; one input channel per
-    # group is one GEMM over the taps, more take one GEMM per tap, the first
-    # writing the accumulator; budgets below one item's buffers split the
-    # work by items, then by groups of one item: the forward keeps its bits
-    # whatever the blocks, and the weight adjoint matches the loop
+    # up to 12 channels hold up to 4 groups of up to 3; a 1x1 kernel is one
+    # GEMM, one input channel per group at stride 1 is one GEMM over the
+    # shifted rows, and every other correlation, strides included, is one
+    # GEMM per row tile of tap windows; budgets below one item's buffers
+    # split the work by items, then by groups of one item: the forward keeps
+    # its bits whatever the blocks, and the weight adjoint matches the loop
     groups = data.draw(st.sampled_from([d for d in range(1, ci + 1) if ci % d == 0]))
     p_t, p_b, p_l, p_r = padding
     k = (data.draw(st.integers(1, min(5, hw[0] + p_t + p_b))),
@@ -184,29 +186,33 @@ def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     w = KernelTensor(rng.standard_normal((64, 1, 3, 3)), groups=64)
     w_mult = KernelTensor(rng.standard_normal((512, 1, 3, 3)), groups=64)
     w_dense = KernelTensor(rng.standard_normal((64, 64, 3, 3)))
+    w_1x1 = KernelTensor(rng.standard_normal((64, 1, 1, 1)), groups=64)
+    w_dense_1x1 = KernelTensor(rng.standard_normal((64, 64, 1, 1)))
     g = rng.standard_normal((2, 64, 56, 56))
     # the input gradient pads g by kh - 1 on each side before it correlates,
     # and copies the kernel flipped with its in- and out-channels swapped
     g_padded = np.pad(g, ((0, 0), (0, 0), (2, 2), (2, 2)))
     # same padding makes x_in (2, 64, 56, 56) a padded copy of x's shape
     x_in = Tensor(x.data[..., 1:-1, 1:-1])
+    # a stride-2 3x3 reads its windows straight from x: one (2, 64, 28, 28)
+    # output beside one block of them
+    stride2, y_stride2 = ConvGeometry(stride=(2, 2)), g.nbytes // 4
     cases = [(lambda: conv2d_direct(x, w), g.nbytes + _CACHE_BUDGET),
              (lambda: conv2d_direct(x, w_mult), 8 * g.nbytes + _CACHE_BUDGET),
              (lambda: conv2d_direct(x_in, w_dense, same_padding(3, 3)),
               x.data.nbytes + g.nbytes + _CACHE_BUDGET),
+             (lambda: conv2d_direct(x, w_dense, stride2), y_stride2 + _CACHE_BUDGET),
+             (lambda: conv2d_direct(x, w, stride2), y_stride2 + _CACHE_BUDGET),
+             # a 1x1 kernel is one GEMM written into its output, in any layout
+             (lambda: conv2d_direct(x_in, w_1x1), g.nbytes + 4096),
+             (lambda: _conv_grad_x(g, w_dense_1x1), g.nbytes + 4096),
              (lambda: _conv_grad_x(g, w), g_padded.nbytes + x.data.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_x(g, w_dense),
               g_padded.nbytes + w_dense.data.nbytes + x.data.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w, ConvGeometry()), _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w_dense, ConvGeometry()), x.data.nbytes + _CACHE_BUDGET)]
     for op, bound in cases:
-        tracemalloc.start()
-        try:
-            op()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        assert peak_bytes(op) <= bound
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])

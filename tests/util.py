@@ -1,7 +1,7 @@
 """Shared test helpers: a seeded random block generator, the same
 generator as a hypothesis strategy, an independent finite-difference
-oracle that goes through the expanded evaluation, and the bytes of an OKT
-file with a given header.
+oracle that goes through the expanded evaluation, the bytes of an OKT
+file with a given header, and the allocation peak of one call.
 
 The seeded generator, make_random_block, serves only two checks: the
 acceptance criteria 1 and 2, which print fixed counts of blocks, and
@@ -11,6 +11,7 @@ draws it from block_graphs."""
 
 import json
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,3 +148,14 @@ def okt_bytes(header, payload=b"", **dumps):
     """An OKT file: magic, header length, json.dumps(header, **dumps), payload."""
     blob = json.dumps(header, **dumps).encode()
     return MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
+def peak_bytes(fn):
+    """The tracemalloc peak of one call fn(), in bytes: numpy's buffers are
+    counted exactly, so an allocation bound can be asserted on it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
