@@ -319,18 +319,21 @@ def _expanded_input(block, x):
 
 
 def expanded_forward(block, x):
-    """Evaluate the block layer by layer under single outer padding."""
+    """Evaluate the block layer by layer under single outer padding, one
+    branch at a time into sum_over's running sum."""
     xp, out_hw = _expanded_input(block, x)
     valid = ConvGeometry()
-    outs = []
-    for branch in block.branches:
-        a = xp
-        for w in branch.weights:
-            a = conv2d_direct(a, w, valid)
-        if branch.scaling is not None:
-            a = scale_by_channel(a, branch.scaling)
-        outs.append(Tensor(a.data[_centered(a.shape, out_hw)]))
-    y = sum_over(outs)
+
+    def branch_outputs():
+        for branch in block.branches:
+            a = xp
+            for w in branch.weights:
+                a = conv2d_direct(a, w, valid)
+            if branch.scaling is not None:
+                a = scale_by_channel(a, branch.scaling)
+            yield Tensor(a.data[_centered(a.shape, out_hw)])
+
+    y = sum_over(branch_outputs())
     s_h, s_w = block.output_geometry.stride
     if (s_h, s_w) != (1, 1):
         y = Tensor(y.data[..., ::s_h, ::s_w])

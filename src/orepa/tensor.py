@@ -402,20 +402,22 @@ def scale_by_channel(x, gamma):
 
 
 def sum_over(tensors):
-    """Sum a non-empty list of equal-shape, equal-dtype tensors in list
-    order, into one new array."""
-    tensors = list(tensors)
-    if not tensors:
+    """Sum a non-empty iterable of equal-shape, equal-dtype tensors in order
+    into one new array (a single operand comes back as itself). Operands are
+    read one at a time and each is dropped once it is in the running sum."""
+    it = iter(tensors)
+    first = next(it, None)
+    if first is None:
         raise ValueError("sum_over needs at least one tensor")
-    first = tensors[0]
-    for t in tensors[1:]:
-        if t.shape != first.shape:
-            raise ShapeError("shape", first.shape, t.shape)
-        if t.dtype != first.dtype:
-            raise ShapeError("dtype", first.dtype, t.dtype)
-    if len(tensors) == 1:
-        return first
-    acc = first.data + tensors[1].data
-    for t in tensors[2:]:
-        np.add(acc, t.data, out=acc)
-    return Tensor(acc)
+    shape, dtype, acc = first.shape, first.dtype, None
+    for t in it:
+        if t.shape != shape:
+            raise ShapeError("shape", shape, t.shape)
+        if t.dtype != dtype:
+            raise ShapeError("dtype", dtype, t.dtype)
+        if acc is None:
+            acc, first = first.data + t.data, None
+        else:
+            np.add(acc, t.data, out=acc)
+        del t
+    return first if acc is None else Tensor(acc)

@@ -254,6 +254,15 @@ def test_expanded_two_identical_branches_doubles():
     np.testing.assert_allclose(y2.data, 2 * y1.data, atol=1e-12)
 
 
+def test_expanded_forward_allocation_bound():
+    # orepa3x3 at 64 channels, 56x56, batch 2, f64: the measured peak,
+    # 14361478 B, plus 2%. The branches stream into one running sum, so one
+    # more (2, 64, 56, 56) f64 map alive at once, 3211264 B, exceeds it.
+    block = build_preset("orepa3x3", 64, 64, 3, seed=0)
+    x = rand_input(np.random.default_rng(0), block, hw=(56, 56), batch=2)
+    assert peak_bytes(lambda: expanded_forward(block, x)) <= 1.02 * 14361478
+
+
 def test_cost_single_conv_offline_equals_online():
     branch = build_branch([L.LayerSpec("conv", 4, 4, k=3)], np.random.default_rng(0))
     block = BlockGraph(branches=[branch])

@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -329,6 +330,40 @@ def test_sum_over_adds_in_list_order_into_one_new_array():
     for t, b in zip(terms, before):
         assert t.data.tobytes() == b.tobytes()
         assert not np.shares_memory(got, t.data)
+
+
+def test_sum_over_reads_a_generator_one_operand_at_a_time():
+    # the first operand is freed once the running sum exists, each later one
+    # right after it is added: when operand i >= 2 is asked for, all before it
+    # are dead. Contiguous data, so each Tensor holds the array made here.
+    rng = np.random.default_rng(41)
+    values = [rng.standard_normal((2, 3, 4, 5)) for _ in range(5)]
+    refs = []
+
+    def operands():
+        for i, v in enumerate(values):
+            if i >= 2:
+                assert [r() is None for r in refs] == [True] * i, f"asking for operand {i}"
+            t = Tensor(v.copy())
+            refs.append(weakref.ref(t.data))
+            yield t
+            del t
+
+    got = sum_over(operands())
+    assert [r() is None for r in refs] == [True] * len(values)
+    assert got.data.tobytes() == sum_over([Tensor(v) for v in values]).data.tobytes()
+
+
+def test_sum_over_checks_each_operand_of_a_generator():
+    x = Tensor(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        sum_over(t for t in [])
+    with pytest.raises(ShapeError):
+        sum_over(t for t in [x, x, Tensor(np.ones((2, 2, 3)))])
+    with pytest.raises(ShapeError):
+        sum_over(t for t in [x, x, x.astype("f32")])
+    assert sum_over(t for t in [x]) is x
+    assert sum_over([x]) is x
 
 
 def test_elementwise_shape_errors():
