@@ -189,10 +189,9 @@ def backward_through_squeeze(block, x, upstream):
 def backward_through_expanded(block, x, upstream):
     """Same gradients, chained through the expanded per-layer evaluation
     under expanded_forward's outer padding, with f64 map gradients. A branch
-    scaling's gradients come from kernels: with dw the last layer's unscaled
-    weight adjoint, grad gamma_o = <w_o, dw_o> (as <g_o, conv(a, w)_o> =
-    <w_o, dw_o>), grad w = gamma * dw, and the input adjoint runs with gamma
-    on the smaller of w and its output gradient."""
+    scaling acts in kernel space: with dw the last layer's unscaled weight
+    adjoint, grad gamma_o = <w_o, dw_o> (as <g_o, conv(a, w)_o> = <w_o, dw_o>),
+    grad w = gamma * dw, and the input adjoint runs with w scaled by gamma."""
     xp, out_hw = _expanded_input(block, x)
     xp = _batched(xp)[0]
     ps = ParamSet(block)
@@ -221,10 +220,7 @@ def backward_through_expanded(block, x, upstream):
                 gamma = np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
                 grad_map[(bi, -1)] = np.einsum("opij,opij->o", w.data, dw)
                 dw *= gamma  # the entry in grad_map too
-                if li > 0 and w.data.size > g_a.size:
-                    g_a = g_a * gamma[:, 0]  # the adjoint is linear in each out channel
-                elif li > 0:
-                    w = KernelTensor(w.data * gamma, groups=w.groups)
+                w = KernelTensor(w.data * gamma, groups=w.groups) if li > 0 else w
             if li > 0:
                 g_a = _conv_grad_x(g_a, w)
     return ps.flatten_grads(grad_map)

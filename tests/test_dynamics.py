@@ -160,23 +160,12 @@ def test_src_fd_agrees_with_test_fd():
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
-# the width of the 1x1 -> 3x3 branch on each side of the offline route's size test
-_LAST_WIDTH = {"wide_last": 8, "narrow_last": 4}
-
-
 def _offline_block(name):
     """orepa3x3, whose avgpool and freqfilter branches end in a fixed layer,
-    at strides 1 and 2, a block whose branches end in a grouped and a
-    depthwise layer, and a 1x1 -> 3x3 branch whose last kernel, at C
-    channels, is larger (wide_last, C = 8) or smaller (narrow_last, C = 4)
-    than its output gradient on a 5x5 batch of 2: 9 C^2 against 50 C
-    entries. Every branch gets a non-zero scaling."""
+    at strides 1 and 2, and a block whose branches end in a grouped and a
+    depthwise layer; every branch gets a non-zero scaling."""
     rng = np.random.default_rng(21)
-    if name in _LAST_WIDTH:
-        block = BlockGraph(branches=[build_branch(
-            L.layer_specs([{"kind": "conv", "k": 1}, {"kind": "conv"}], _LAST_WIDTH[name], 3),
-            rng)])
-    elif name == "grouped_last":
+    if name == "grouped_last":
         block = BlockGraph(branches=[
             build_branch(L.layer_specs([{"kind": "conv", "k": 1}, {"kind": "conv", "groups": 2}],
                                       4, 3), rng),
@@ -189,17 +178,11 @@ def _offline_block(name):
     return block
 
 
-@pytest.mark.parametrize("name", ["orepa3x3", "orepa3x3_stride2", "grouped_last",
-                                  "wide_last", "narrow_last"])
+@pytest.mark.parametrize("name", ["orepa3x3", "orepa3x3_stride2", "grouped_last"])
 def test_offline_route_matches_fd_and_a_feature_map_gamma_oracle(name):
     # backward_through_expanded on its own, apart from the squeezed route: its
-    # gamma gradient is taken on kernels, the oracle's on the branch's output
-    # map; the input adjoint puts gamma on the output gradient when the last
-    # kernel is larger (wide_last), else on the kernel
+    # gamma gradient is taken on kernels, the oracle's on the branch's output map
     block = _offline_block(name)
-    if name in _LAST_WIDTH:
-        assert (block.branches[0].weights[-1].data.size > 2 * block.out_ch * 5 * 5) == (
-            name == "wide_last")
     rng = np.random.default_rng(5)
     x = rand_input(rng, block, hw=(5, 5), batch=2)
     s_h, s_w = block.output_geometry.stride
