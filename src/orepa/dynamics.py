@@ -21,7 +21,7 @@ import numpy as np
 
 from .squeeze import _expanded_input, _squeeze, block_forward_squeezed, squeeze_branch
 from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _addressable, _batched,
-                     _centered, _correlate, _correlate_grad_w, _pad_hw, conv2d_direct)
+                     _centered, _correlate, _correlate_grad_w, conv2d_direct)
 
 
 # --------------------------------------------------------------------------
@@ -100,18 +100,19 @@ class ParamSet:
 
 def _conv_grad_w(x, gout, kernel, geom):
     """d<gout, conv(x, kernel, geom)> / d kernel, native grouped shape."""
-    return _correlate_grad_w(_pad_hw(_batched(x)[0], geom.padding), _batched(gout)[0],
-                             kernel.kh, kernel.kw, kernel.groups, geom.stride)
+    return _correlate_grad_w(_batched(x)[0], _batched(gout)[0], kernel.kh, kernel.kw,
+                             kernel.groups, geom.stride, geom.padding)
 
 
 def _conv_grad_x(gout, kernel):
     """Input gradient of a VALID stride-1 convolution: the full correlation
-    of gout with the flipped kernel, in- and out-channels swapped per group."""
+    of gout with the flipped kernel, in- and out-channels swapped per group.
+    _correlate reads gout's kh - 1 and kw - 1 rows and columns of zero
+    border in place, so no padded copy of gout is made."""
     g, kh, kw = kernel.groups, kernel.kh, kernel.kw
-    gp = _pad_hw(_batched(gout)[0], (kh - 1, kh - 1, kw - 1, kw - 1))
     flipped = kernel.data[..., ::-1, ::-1].reshape(g, -1, kernel.in_channels_per_group, kh, kw)
     flipped = flipped.transpose(0, 2, 1, 3, 4).reshape(-1, kernel.out_channels // g, kh, kw)
-    return _correlate(gp, flipped, g)
+    return _correlate(_batched(gout)[0], flipped, g, padding=(kh - 1, kh - 1, kw - 1, kw - 1))
 
 
 def _merge_backward(w1, w2, gout):
@@ -171,17 +172,20 @@ def backward_through_squeeze(block, x, upstream):
     folds = []
     w_e = _squeeze(block, [], folds)
     g_e = _conv_grad_w(x, upstream, w_e, block.eval_geometry())
+    del w_e  # only its extents were read
 
     grad_map = {}
-    for bi, (branch, (factors, prefix)) in enumerate(zip(block.branches, folds)):
+    for bi, branch in enumerate(block.branches):
+        # the list lets go of each fold as its walk starts, so a walked
+        # branch's factors and prefix products die as the next walk begins
+        (factors, prefix), folds[bi] = folds[bi], None
         g_k = g_e[_centered(g_e.shape, prefix[-1].shape)]
         if branch.scaling is not None:
             grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k)
             g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
         for li in range(len(factors) - 1, 0, -1):
-            g_prev, g_wi = _merge_backward(prefix[li - 1], factors[li], g_k)
+            g_k, g_wi = _merge_backward(prefix[li - 1], factors[li], g_k)
             grad_map[(bi, li)] = _dense_grad_to_native(g_wi, branch.weights[li])
-            g_k = g_prev
         grad_map[(bi, 0)] = _dense_grad_to_native(g_k, branch.weights[0])
     return ps.flatten_grads(grad_map)
 
@@ -215,7 +219,8 @@ def backward_through_expanded(block, x, upstream):
             g_a[_centered(out_shape, g_sum.shape)] = g_sum
         for li in range(len(branch.weights) - 1, -1, -1):
             w = branch.weights[li]
-            dw = grad_map[(bi, li)] = _conv_grad_w(acts[li], g_a, w, valid)
+            # each map dies at its weight adjoint, before the input adjoint runs
+            dw = grad_map[(bi, li)] = _conv_grad_w(acts.pop(), g_a, w, valid)
             if branch.scaling is not None and li == len(branch.weights) - 1:
                 gamma = np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
                 grad_map[(bi, -1)] = np.einsum("opij,opij->o", w.data, dw)
@@ -223,6 +228,7 @@ def backward_through_expanded(block, x, upstream):
                 w = KernelTensor(w.data * gamma, groups=w.groups) if li > 0 else w
             if li > 0:
                 g_a = _conv_grad_x(g_a, w)
+        del g_a  # the branch's last map gradient, before the next branch's maps
     return ps.flatten_grads(grad_map)
 
 
@@ -332,7 +338,11 @@ def sgd_step(params, grads, cfg, state=None):
         prev = state.velocity if state.velocity is not None else np.zeros_like(grads)
         velocity = factor * prev + grads
         state.velocity = velocity
-    return (1.0 - cfg.eta * cfg.weight_decay) * params - cfg.eta * velocity
+    # one new buffer: -(eta * v) + p is bit-equal to p - eta * v
+    out = velocity * -cfg.eta
+    decay = 1.0 - cfg.eta * cfg.weight_decay
+    out += params if decay == 1.0 else decay * params
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -626,6 +636,7 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
                     "params": history}
         losses.append(loss)
         upstream = Tensor(r / r.size)
+        del r  # not read again in this step
         grads = backward(block, x, upstream)
         ps.set_flat(sgd_step(ps.get_flat(), grads, cfg, state))
         if record_params:

@@ -202,23 +202,34 @@ def merge_sequential(w1, w2):
 
 
 def merge_parallel(kernels):
-    """Sum kernels with spatial centers aligned; extents must be odd."""
-    kernels = list(kernels)
-    first = kernels[0]
-    for i, k in enumerate(kernels):
+    """Sum kernels with spatial centers aligned; extents must be odd.
+
+    Reads a non-empty iterable one kernel at a time, dropping each once it
+    is added, into a running sum from zeros whose canvas grows about its
+    center; every tap adds its kernels in order, so the bits are those of
+    one zero canvas at the largest extents. An empty iterable raises
+    MergeError."""
+    acc, first, i = None, None, -1
+    for k in kernels:  # not enumerate, whose cached tuple would hold the last kernel
+        i += 1
         if k.kh % 2 == 0 or k.kw % 2 == 0:
             raise MergeError(f"kernel {i} has even extent {k.kh}x{k.kw}; "
                              "center alignment is undefined")
-        if (k.out_channels, k.in_channels, k.groups) != (
-                first.out_channels, first.in_channels, first.groups):
+        channels = (k.out_channels, k.in_channels, k.groups)
+        if acc is None:
+            first, acc = channels, np.zeros(k.shape, dtype=k.data.dtype)
+        elif channels != first:
             raise MergeError(f"kernel {i} channels/groups differ from kernel 0")
-    keh = max(k.kh for k in kernels)
-    kew = max(k.kw for k in kernels)
-    out = np.zeros((first.out_channels, first.in_channels_per_group, keh, kew),
-                   dtype=first.data.dtype)
-    for k in kernels:
-        out[_centered(out.shape, k.shape)] += k.data
-    return KernelTensor(out, groups=first.groups)
+        elif k.kh > acc.shape[2] or k.kw > acc.shape[3]:
+            grown = np.zeros(acc.shape[:2] + (max(k.kh, acc.shape[2]), max(k.kw, acc.shape[3])),
+                             dtype=acc.dtype)
+            grown[_centered(grown.shape, acc.shape)] = acc
+            acc = grown
+        acc[_centered(acc.shape, k.shape)] += k.data
+        del k
+    if acc is None:
+        raise MergeError("merge_parallel needs at least one kernel")
+    return KernelTensor(acc, groups=first[2])
 
 
 def apply_branch_scaling(w, gamma):
@@ -265,19 +276,26 @@ def _fold(branch, trace, folds):
 
 
 def _squeeze(block, trace, folds=None):
-    """W_e: each branch's fold (see _fold), scaled, then merged center-aligned."""
-    kernels = []
-    for branch in block.branches:
-        # a fold not kept is freed before its scaled copy is made
-        k = _fold(branch, trace, [] if folds is None else folds)
-        if branch.scaling is not None:
-            k = apply_branch_scaling(k, branch.scaling)
-            trace.append(TraceStep("scale", (k.shape, branch.scaling.shape), k.shape, k.data.size))
-        kernels.append(k)
-    if len(kernels) == 1:
-        return kernels[0]
-    w_e = merge_parallel(kernels)
-    trace.append(TraceStep("merge_parallel", tuple(k.shape for k in kernels), w_e.shape, 0))
+    """W_e: each branch's fold (see _fold), scaled, then merged center-aligned
+    by merge_parallel, which reads one scaled fold at a time."""
+    shapes = []
+
+    def kernels():
+        for branch in block.branches:
+            # a fold not kept is freed before its scaled copy is made
+            k = _fold(branch, trace, [] if folds is None else folds)
+            if branch.scaling is not None:
+                k = apply_branch_scaling(k, branch.scaling)
+                trace.append(TraceStep("scale", (k.shape, branch.scaling.shape), k.shape,
+                                       k.data.size))
+            shapes.append(k.shape)
+            yield k
+            del k  # added to the running sum; freed before the next fold
+
+    if len(block.branches) == 1:
+        return next(kernels())
+    w_e = merge_parallel(kernels())
+    trace.append(TraceStep("merge_parallel", tuple(shapes), w_e.shape, 0))
     return w_e
 
 

@@ -6,8 +6,11 @@ the input window centered at (h, w), i.e. taps are offset by
 k - floor((K - 1) / 2) along each spatial axis.
 
 Two private kernels carry every convolution over feature maps: _correlate,
-a VALID strided grouped cross-correlation, and its weight adjoint
-_correlate_grad_w. conv2d_direct pads x and correlates.
+a strided grouped cross-correlation of a zero-padded map, and its weight
+adjoint _correlate_grad_w. Both take the padding as an argument and read
+it in place, so conv2d_direct hands them x as it is: each block or row
+tile copies only the input rows it reads into a small zero-bordered
+buffer. Only a 1x1 kernel and the strided adjoint's phases pad whole maps.
 
 Both run in blocks of batch items or of groups (_blocks) whose working
 buffers fit _CACHE_BUDGET bytes, so a large map is not streamed through
@@ -236,27 +239,62 @@ def _blocks(b, groups, unit):
             for i in range(0, b, ni) for g in range(0, groups, ng)]
 
 
-def _correlate(x, w, groups=1, stride=(1, 1)):
-    """VALID grouped cross-correlation as GEMMs over copied tap windows.
+def _zero_bordered(dst, src, r0, p_l):
+    """dst (..., R, W') filled with src's rows r0 .. r0 + R - 1, shifted right
+    by p_l columns, and with zeros wherever that reads outside src (..., H, W)."""
+    rows, wid = dst.shape[-2], src.shape[-1]
+    lo, hi = min(rows, max(0, -r0)), max(0, min(rows, src.shape[-2] - r0))
+    dst[..., :lo, :] = 0
+    dst[..., hi:, :] = 0
+    dst[..., lo:hi, :p_l] = 0
+    dst[..., lo:hi, p_l + wid:] = 0
+    dst[..., lo:hi, p_l:p_l + wid] = src[..., r0 + lo:r0 + hi, :]
+    return dst
 
-    y[b, o, h, v] = sum_{c, i, j} w[o, c, i, j] * x[b, c', s_h*h + i, s_w*v + j]
-    for x (B, C, H, W) and w (Co, C // groups, kH, kW), c' running over the
-    channels of o's group; groups are the matmul batch axis. The shapes
-    pick the form. A 1x1 kernel, in any layout and at any stride, is one
-    GEMM on x[..., ::s_h, ::s_w]. At stride 1, one input channel per group
-    (depthwise, channel multiplier, pooling) copies its kH*kW rows of x
-    flattened over (row, column), each shifted by i*W + j, into one GEMM per
-    block into an accumulator as wide as x, whose VALID columns are kept;
-    row tiles measured slower there. Every other correlation is one GEMM
-    per tile of _tile_rows output rows against a copy of its windows in w's
-    (c, i, j) order. The stride lives in the window view, which steps s_h
-    rows and s_w columns per output pixel, so each window is copied once
-    and written into y. The work runs in _blocks, so a large map's buffers
-    stay in cache, and no output's GEMM depends on the blocks."""
+
+def _tile_windows(x, groups, kh, kw, ho, wo, stride):
+    """windows[b, g, c, i, j, h, v] = x[b, g * cig + c, s_h * h + i, s_w * v + j], a view."""
+    s, cig = x.strides, x.shape[1] // groups
+    return np.lib.stride_tricks.as_strided(
+        x, (x.shape[0], groups, cig, kh, kw, ho, wo),
+        (s[0], cig * s[1]) + s[1:] + (stride[0] * s[2], stride[1] * s[3]), writeable=False)
+
+
+def _flat_windows(xf, kh, kw, wid, n):
+    """windows[b, g, i, j] = xf[b, g, i * wid + j:][:n], a view of the maps
+    flattened over (row, column), each row of the map wid wide."""
+    s = xf.strides
+    return np.lib.stride_tricks.as_strided(
+        xf, xf.shape[:2] + (kh, kw, n), s[:2] + (wid * s[2], s[2], s[2]), writeable=False)
+
+
+def _correlate(x, w, groups=1, stride=(1, 1), padding=(0, 0, 0, 0)):
+    """Grouped cross-correlation of x zero-padded by (top, bottom, left,
+    right), as GEMMs over copied tap windows; no padded copy of x is made.
+
+    y[b, o, h, v] = sum_{c, i, j} w[o, c, i, j] * xp[b, c', s_h*h + i, s_w*v + j]
+    for xp, x (B, C, H, W) padded, and w (Co, C // groups, kH, kW), c'
+    running over the channels of o's group; groups are the matmul batch
+    axis. The shapes pick the form. A 1x1 kernel, in any layout and at any
+    stride, is one GEMM on xp[..., ::s_h, ::s_w]. At stride 1, one input
+    channel per group (depthwise, channel multiplier, pooling) copies its
+    kH*kW rows of xp flattened over (row, column), each shifted by i*W + j,
+    into one GEMM per block into an accumulator as wide as xp, whose VALID
+    columns are kept; row tiles measured slower there. Every other
+    correlation is one GEMM per tile of _tile_rows output rows against a
+    copy of its windows in w's (c, i, j) order. The stride lives in the
+    window view, which steps s_h rows and s_w columns per output pixel, so
+    each window is copied once and written into y. The work runs in
+    _blocks, so a large map's buffers stay in cache, and no output's GEMM
+    depends on the blocks. Padding is read in place: the windows of a block
+    (flat rows) or of a tile (row tiles) come from a small zero-bordered copy
+    of the input rows they read."""
     b, _, hgt, wid = x.shape
     co, cig, kh, kw = w.shape
     s_h, s_w = stride
-    ho, wo = (hgt - kh) // s_h + 1, (wid - kw) // s_w + 1
+    p_t, p_b, p_l, p_r = padding
+    hp, wp = hgt + p_t + p_b, wid + p_l + p_r
+    ho, wo = (hp - kh) // s_h + 1, (wp - kw) // s_w + 1
     dt = np.result_type(x, w)
     cog, k = co // groups, cig * kh * kw
     wk = w.reshape(groups, cog, k)
@@ -266,38 +304,52 @@ def _correlate(x, w, groups=1, stride=(1, 1)):
         wk = np.ascontiguousarray(wk)
     y = np.empty((b, groups, cog, ho * wo), dtype=dt)
     if kh == kw == 1:
-        xs = x[..., ::s_h, ::s_w].reshape(b, groups, cig, -1)
+        xs = _pad_hw(x, padding)[..., ::s_h, ::s_w].reshape(b, groups, cig, -1)
         return np.matmul(wk, xs, out=y).reshape(b, co, ho, wo)
+    padded = any(padding)
     if cig == 1 and (s_h, s_w) == (1, 1):
-        n = ho * wid - (kw - 1)
-        xf = x.reshape(b, groups, -1)
-        # windows[b, g, i, j] is x's flattened row shifted by tap (i, j), a view
-        # that reads only inside x, as i*W + j + n <= H*W
-        s = xf.strides
-        windows = np.lib.stride_tricks.as_strided(
-            xf, (b, groups, kh, kw, n), s[:2] + (wid * s[2], s[2], s[2]), writeable=False)
-        blocks = _blocks(b, groups, (kh * kw * n + cog * ho * wid) * dt.itemsize)
-        buf = np.empty(windows[blocks[0]].shape, dtype=dt)
-        acc = np.empty(buf.shape[:2] + (cog, ho * wid), dtype=dt)
+        n = ho * wp - (kw - 1)
+        # windows read only inside the (padded) map, as i*W + j + n <= H*W
+        windows = None if padded else _flat_windows(x.reshape(b, groups, -1), kh, kw, wid, n)
+        blocks = _blocks(b, groups, (kh * kw * n + cog * ho * wp + padded * hp * wp) * dt.itemsize)
+        ni, ng = (s.stop - s.start for s in blocks[0])
+        buf = np.empty((ni, ng, kh, kw, n), dtype=dt)
+        acc = np.empty((ni, ng, cog, ho * wp), dtype=dt)
+        if padded:
+            # a block's zero-bordered map, and its windows as one view
+            xz = np.empty((ni, ng, hp, wp), dtype=x.dtype)
+            xz_windows = _flat_windows(xz.reshape(ni, ng, -1), kh, kw, wp, n)
         for ib, gb in blocks:
             ni, ng = ib.stop - ib.start, gb.stop - gb.start
             # the accumulator's last kw - 1 columns are never written or read
             a, p = acc[:ni, :ng], buf[:ni, :ng]
-            p[...] = windows[ib, gb]
+            if padded:
+                _zero_bordered(xz[:ni, :ng], x[ib, gb], -p_t, p_l)
+                p[...] = xz_windows[:ni, :ng]
+            else:
+                p[...] = windows[ib, gb]
             np.matmul(wk[gb], p.reshape(ni, ng, kh * kw, n), out=a[..., :n])
-            y.reshape(b, groups, cog, ho, wo)[ib, gb] = a.reshape(ni, ng, cog, ho, wid)[..., :wo]
+            y.reshape(b, groups, cog, ho, wo)[ib, gb] = a.reshape(ni, ng, cog, ho, wp)[..., :wo]
         return y.reshape(b, co, ho, wo)
-    s = x.strides
-    # windows[b, g, c, i, j, h, v] = x[b, g * cig + c, s_h * h + i, s_w * v + j], a view
-    windows = np.lib.stride_tricks.as_strided(
-        x, (b, groups, cig, kh, kw, ho, wo),
-        (s[0], cig * s[1]) + s[1:] + (s_h * s[2], s_w * s[3]), writeable=False)
     rows = _tile_rows(k, ho, wo, dt.itemsize)
-    blocks = _blocks(b, groups, k * rows * wo * dt.itemsize)
-    buf = np.empty(windows[blocks[0]][..., :rows, :].size, dtype=dt)
+    rin = s_h * (rows - 1) + kh  # input rows a tile reads
+    windows = None if padded else _tile_windows(x, groups, kh, kw, ho, wo, stride)
+    blocks = _blocks(b, groups, (k * rows * wo + padded * cig * rin * wp) * dt.itemsize)
+    ni, ng = (s.stop - s.start for s in blocks[0])
+    buf = np.empty(ni * ng * k * rows * wo, dtype=dt)
+    if padded:
+        # a tile's zero-bordered input rows, and their windows as one view
+        xt = np.empty((ni, ng * cig, rin, wp), dtype=x.dtype)
+        xt_windows = _tile_windows(xt, ng, kh, kw, rows, wo, stride)
     for ib, gb in blocks:
+        ni, ng = ib.stop - ib.start, gb.stop - gb.start
         for h in range(0, ho, rows):
-            tile = windows[ib, gb, ..., h:h + rows, :]
+            if padded:
+                _zero_bordered(xt[:ni, :ng * cig], x[ib, gb.start * cig:gb.stop * cig],
+                               s_h * h - p_t, p_l)
+                tile = xt_windows[:ni, :ng, ..., :ho - h, :]
+            else:
+                tile = windows[ib, gb, ..., h:h + rows, :]
             p = buf[:tile.size].reshape(tile.shape)
             p[...] = tile
             np.matmul(wk[gb], p.reshape(tile.shape[:2] + (k, -1)),
@@ -314,21 +366,26 @@ def _tile_rows(k, ho, wo, itemsize):
     return min(ho, max(1, (1 << 20) // (k * wo * itemsize)))
 
 
-def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1)):
-    """Weight adjoint of _correlate, d<g, _correlate(x, w, groups, stride)> / dw
-    of shape (Co, C // groups, kh, kw); g may be smaller than the VALID output.
+def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0)):
+    """Weight adjoint of _correlate,
+    d<g, _correlate(x, w, groups, stride, padding)> / dw of shape
+    (Co, C // groups, kh, kw); g may be smaller than the output.
 
-    Per block of _blocks, x is laid out as (groups, C // groups, items * H * W)
-    and g zero-filled to the same positions, so tap (i, j) is one batched
-    GEMM of g against x shifted by i*W + j, contracting items and space; the
-    positions past g's extents add zeros. A stride splits x and dw into
-    phases, each a stride-1 adjoint writing its own taps of dw, so nothing is
-    summed. Only the adjoint keeps phases: strided tile windows, as the
-    forward's, measured faster here but raised the online step's peak."""
+    Per block of _blocks, the padded x is laid out as (groups, C // groups,
+    items * H * W), a zero-bordered copy of the block when padded, and g
+    zero-filled to the same positions, so tap (i, j) is one batched GEMM of
+    g against x shifted by i*W + j, contracting items and space; the
+    positions past g's extents add zeros. A stride pads x whole and splits
+    it and dw into phases, each a stride-1 adjoint writing its own taps of
+    dw, so nothing is summed. Only the adjoint keeps phases: strided tile
+    windows, as the forward's, measured faster here but raised the online
+    step's peak."""
+    s_h, s_w = stride
+    if (s_h, s_w) != (1, 1):
+        x, padding = _pad_hw(x, padding), (0, 0, 0, 0)
     b, c, hgt, wid = x.shape
     co, ho, wo = g.shape[1:]
     cig, cog = c // groups, co // groups
-    s_h, s_w = stride
     dt = np.result_type(x, g)
     dw = np.zeros((groups, cog, cig, kh * kw), dtype=dt)
     if (s_h, s_w) != (1, 1):
@@ -338,21 +395,28 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1)):
                 d5[..., p::s_h, q::s_w] = _correlate_grad_w(
                     x[..., p::s_h, q::s_w], g, -(-(kh - p) // s_h), -(-(kw - q) // s_w), groups)
         return d5
-    x4 = x.reshape(b, groups, cig, -1)
+    p_t, p_b, p_l, p_r = padding
+    hp, wp = hgt + p_t + p_b, wid + p_l + p_r
+    x5 = x.reshape(b, groups, cig, hgt, wid)
     g5 = g.reshape(b, groups, cog, ho, wo)
-    n = hgt * wid - (kh - 1) * wid - (kw - 1)
-    blocks = _blocks(b, groups, (cig + cog) * hgt * wid * dt.itemsize)
-    ib, gb = blocks[0]
-    buf = np.empty((gb.stop - gb.start) * cog * (ib.stop - ib.start) * hgt * wid, dtype=g.dtype)
+    n = hp * wp - (kh - 1) * wp - (kw - 1)
+    blocks = _blocks(b, groups, (cig + cog) * hp * wp * dt.itemsize)
+    ni, ng = (s.stop - s.start for s in blocks[0])
+    buf = np.empty(ng * cog * ni * hp * wp, dtype=g.dtype)
+    xz = np.empty(ng * cig * ni * hp * wp, dtype=x.dtype) if any(padding) else None
     for ib, gb in blocks:
         ni, ng = ib.stop - ib.start, gb.stop - gb.start
-        xb = x4[ib, gb].transpose(1, 2, 0, 3).reshape(ng, cig, -1)
-        gz = buf[:ng * cog * ni * hgt * wid].reshape(ng, cog, ni, hgt, wid)
+        xb = x5[ib, gb].transpose(1, 2, 0, 3, 4)
+        if xz is not None:
+            xb = _zero_bordered(xz[:ng * cig * ni * hp * wp].reshape(ng, cig, ni, hp, wp),
+                                xb, -p_t, p_l)
+        xb = xb.reshape(ng, cig, -1)
+        gz = buf[:ng * cog * ni * hp * wp].reshape(ng, cog, ni, hp, wp)
         gz.fill(0)
         gz[..., :ho, :wo] = g5[ib, gb].transpose(1, 2, 0, 3, 4)
-        gf = gz.reshape(ng, cog, -1)[..., :(ni - 1) * hgt * wid + n]
+        gf = gz.reshape(ng, cog, -1)[..., :(ni - 1) * hp * wp + n]
         for t in range(kh * kw):
-            off = t // kw * wid + t % kw
+            off = t // kw * wp + t % kw
             dw[gb, ..., t] += gf @ xb[..., off:off + gf.shape[-1]].swapaxes(-1, -2)
     return dw.reshape(co, cig, kh, kw)
 
@@ -362,7 +426,7 @@ def conv2d_direct(x, w, geom=None, bias=None):
 
     x is rank 3 (C, H, W) or rank 4 (B, C, H, W); w is a KernelTensor.
     Output extents are floor((H + pT + pB - kH) / sH) + 1 and likewise
-    for width; out-of-range input reads are zero via explicit padding.
+    for width; out-of-range input reads are zero, read in place.
     Accumulation happens in the storage dtype.
     """
     if geom is None:
@@ -372,12 +436,12 @@ def conv2d_direct(x, w, geom=None, bias=None):
         raise ShapeError("channels", w.in_channels, arr.shape[1])
     if arr.dtype != w.data.dtype:
         raise ShapeError("dtype", dtype_name(w.data.dtype), dtype_name(arr.dtype))
-    xp = _pad_hw(arr, geom.padding)
-    if xp.shape[2] < w.kh:
-        raise ShapeError("height", f">= kernel height {w.kh}", xp.shape[2])
-    if xp.shape[3] < w.kw:
-        raise ShapeError("width", f">= kernel width {w.kw}", xp.shape[3])
-    y = _correlate(xp, w.data, w.groups, geom.stride)
+    p_t, p_b, p_l, p_r = geom.padding
+    if arr.shape[2] + p_t + p_b < w.kh:
+        raise ShapeError("height", f">= kernel height {w.kh}", arr.shape[2] + p_t + p_b)
+    if arr.shape[3] + p_l + p_r < w.kw:
+        raise ShapeError("width", f">= kernel width {w.kw}", arr.shape[3] + p_l + p_r)
+    y = _correlate(arr, w.data, w.groups, geom.stride, geom.padding)
     if bias is not None:
         bias = np.asarray(bias, dtype=arr.dtype)
         if bias.shape != (w.out_channels,):

@@ -237,13 +237,27 @@ def test_a_branch_scaled_by_zero_gets_only_a_gamma_gradient():
 
 
 def test_offline_backward_allocation_bound():
-    # orepa3x3 at 64 channels, 56x56, batch 2, f64: the measured peak, 17.94 MiB,
-    # plus 2%; one more (2, 64, 58, 58) f64 map alive at once, 3.3 MB, exceeds it
+    # orepa3x3 at 64 channels, 56x56, batch 2, f64: the measured peak,
+    # 11859008 B, plus 2%. Each map dies at its weight adjoint and each
+    # branch's last map gradient before the next branch runs: keeping the
+    # first-layer map through the input adjoint (12846069 B) or the last
+    # map gradient into the next branch (15305090 B) exceeds it
     block = build_preset("orepa3x3", 64, 64, 3, seed=0)
     rng = np.random.default_rng(0)
     x = rand_input(rng, block, hw=(56, 56), batch=2)
     g = Tensor(rng.standard_normal((2, 64, 56, 56)))
-    assert peak_bytes(lambda: backward_through_expanded(block, x, g)) <= 1.02 * 17.94 * 2 ** 20
+    assert peak_bytes(lambda: backward_through_expanded(block, x, g)) <= 1.02 * 11859008
+
+
+def test_online_backward_allocation_bound():
+    # orepavgg at expansion 8, 128 channels, 8x8, batch 2, f64: the measured
+    # peak, 13385312 B, plus 2%. A branch's fold dies once its walk is done;
+    # keeping every fold to the end (16711464 B) exceeds it
+    block = build_preset("orepavgg", 128, 128, 3, seed=0, expansion=8)
+    rng = np.random.default_rng(0)
+    x = rand_input(rng, block, hw=(8, 8), batch=2)
+    g = Tensor(rng.standard_normal((2, 128, 8, 8)))
+    assert peak_bytes(lambda: backward_through_squeeze(block, x, g)) <= 1.02 * 13385312
 
 
 @pytest.mark.parametrize("w1_shape,groups,w2_shape,measured", [
@@ -424,6 +438,40 @@ def test_sgd_mu_zero_is_memoryless():
     a = sgd_step(np.array([1.0]), np.array([1.0]), cfg, state)
     b = sgd_step(np.array([1.0]), np.array([1.0]), cfg, SgdState())
     assert a[0] == b[0]
+
+
+@pytest.mark.parametrize("mode", ["scaled", "standard"])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+def test_sgd_step_is_the_literal_update_and_leaves_its_inputs(mode, momentum, weight_decay):
+    cfg = OptimizerConfig(eta=0.07, weight_decay=weight_decay, momentum=momentum,
+                          momentum_mode=mode)
+    rng = np.random.default_rng(3)
+    state, w = SgdState(), rng.standard_normal(257)
+    factor = cfg.eta * momentum if mode == "scaled" else momentum
+    velocity = np.zeros_like(w)
+    for _ in range(3):
+        g = rng.standard_normal(w.shape)
+        inputs = [w, g] + ([] if state.velocity is None else [state.velocity])
+        before = [a.copy() for a in inputs]
+        velocity = factor * velocity + g
+        want = (1 - cfg.eta * weight_decay) * w - cfg.eta * velocity
+        w = sgd_step(w, g, cfg, state)
+        assert w.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in inputs] == [b.tobytes() for b in before]
+
+
+def test_sgd_step_allocates_only_its_output():
+    # a decay-free step is one buffer, the 1 MiB output, plus 4096 B; each
+    # temporary of (1 - eta*lambda) * p - eta * v would be another 1 MiB.
+    # Weight decay adds one: decay * p.
+    rng = np.random.default_rng(5)
+    w, g = rng.standard_normal(1 << 17), rng.standard_normal(1 << 17)
+    cfg = OptimizerConfig(eta=0.1)
+    assert peak_bytes(lambda: sgd_step(w, g, cfg)) <= w.nbytes + 4096
+    assert peak_bytes(lambda: sgd_step(w, g, cfg, SgdState())) <= w.nbytes + 4096
+    decayed = OptimizerConfig(eta=0.1, weight_decay=0.3)
+    assert peak_bytes(lambda: sgd_step(w, g, decayed)) <= 2 * w.nbytes + 4096
 
 
 def test_optimizer_config_validation():

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -154,6 +155,49 @@ def test_parallel_rejects_channel_mismatch():
     with pytest.raises(MergeError):
         merge_parallel([KernelTensor(np.ones((1, 1, 3, 3))),
                         KernelTensor(np.ones((2, 1, 3, 3)))])
+
+
+@pytest.mark.parametrize("extents", [(1, 3, 5), (5, 1), (3, 1, 3)],
+                         ids=["grows", "shrinks", "3-1-3"])
+def test_merge_parallel_reads_a_generator_one_kernel_at_a_time(extents):
+    # each kernel is dropped once it is in the running sum: when kernel i >= 1
+    # is asked for, every earlier one is dead. The bytes equal the list
+    # form's and one zero canvas at the largest extents, added in order.
+    rng = np.random.default_rng(43)
+    values = [rng.standard_normal((4, 2, k, k)) for k in extents]
+    refs = []
+
+    def kernels():
+        for i, v in enumerate(values):
+            assert all(r() is None for r in refs), f"asking for kernel {i}"
+            k = KernelTensor(v.copy(), groups=2)
+            refs.append(weakref.ref(k.data))
+            yield k
+            del k
+
+    got = merge_parallel(kernels())
+    assert all(r() is None for r in refs)
+    m = max(extents)
+    want = np.zeros((4, 2, m, m))
+    for v in values:
+        o = (m - v.shape[-1]) // 2
+        want[..., o:o + v.shape[-2], o:o + v.shape[-1]] += v
+    listed = merge_parallel([KernelTensor(v, groups=2) for v in values])
+    assert got.groups == listed.groups == 2
+    assert got.data.tobytes() == listed.data.tobytes() == want.tobytes()
+
+
+def test_merge_parallel_checks_each_kernel_of_a_generator():
+    k3 = KernelTensor(np.ones((2, 1, 3, 3)))
+    with pytest.raises(MergeError, match="at least one kernel"):
+        merge_parallel(k for k in [])
+    with pytest.raises(MergeError, match="kernel 2 has even extent"):
+        merge_parallel(k for k in [k3, k3, KernelTensor(np.ones((2, 1, 2, 2)))])
+    with pytest.raises(MergeError, match="kernel 1 channels/groups differ"):
+        merge_parallel(k for k in [k3, KernelTensor(np.ones((2, 2, 5, 5)))])
+    with pytest.raises(MergeError, match="kernel 1 channels/groups differ"):
+        merge_parallel(k for k in [KernelTensor(np.ones((2, 2, 3, 3))),
+                                   KernelTensor(np.ones((2, 1, 3, 3)), groups=2)])
 
 
 def test_branch_scaling_examples():

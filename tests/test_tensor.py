@@ -151,7 +151,8 @@ def test_correlation_in_any_blocks_matches_loop_oracles(ci, cog, hw, padding, st
     # shifted rows, and every other correlation, strides included, is one
     # GEMM per row tile of tap windows; budgets below one item's buffers
     # split the work by items, then by groups of one item: the forward keeps
-    # its bits whatever the blocks, and the weight adjoint matches the loop
+    # its bits whatever the blocks, and the weight adjoint matches the loop.
+    # Both read the padding in place with the bits of a padded copy.
     groups = data.draw(st.sampled_from([d for d in range(1, ci + 1) if ci % d == 0]))
     p_t, p_b, p_l, p_r = padding
     k = (data.draw(st.integers(1, min(5, hw[0] + p_t + p_b))),
@@ -163,16 +164,18 @@ def test_correlation_in_any_blocks_matches_loop_oracles(ci, cog, hw, padding, st
     geom = ConvGeometry(stride=stride, padding=padding)
     y = conv2d_direct(Tensor(x), w, geom, bias=bias).data
     g = rng.standard_normal(y.shape)
+    xp, valid = np.pad(x, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r))), ConvGeometry(stride=stride)
     with mock.patch.object(tensor, "_CACHE_BUDGET", budget):
         assert np.array_equal(conv2d_direct(Tensor(x), w, geom, bias=bias).data, y)
+        assert conv2d_direct(Tensor(xp), w, valid, bias=bias).data.tobytes() == y.tobytes()
         dw = _conv_grad_w(x, g, w, geom)
+        assert _conv_grad_w(xp, g, w, valid).tobytes() == dw.tobytes()
     want = conv2d_loop(x, w.data, stride, padding, groups, bias)
     assert y.shape == want.shape
     # relative to the sum of |products|, so that a cancelling sum cannot fail it
     scale = conv2d_loop(np.abs(x), np.abs(w.data), stride, padding, groups,
                         None if bias is None else np.abs(bias))
     assert np.all(np.abs(y - want) <= 1e-12 * scale)
-    xp = np.pad(x, ((0, 0), (0, 0), (p_t, p_b), (p_l, p_r)))
     want = conv_grad_w_loop(xp, g, k[0], k[1], stride, groups)
     assert dw.shape == want.shape
     assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(np.abs(want))
@@ -180,8 +183,9 @@ def test_correlation_in_any_blocks_matches_loop_oracles(ci, cog, hw, padding, st
 
 def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     # tracemalloc counts numpy's buffers exactly: a buffer the size of the
-    # whole map per tap, a copy of a dense input, or a product or kernel
-    # copy beside a dense accumulator would exceed the bounds
+    # whole map per tap, a copy of a dense input, a padded copy of a map, or
+    # a product or kernel copy beside a dense accumulator would exceed the
+    # bounds
     rng = np.random.default_rng(31)
     x = Tensor(rng.standard_normal((2, 64, 58, 58)))
     w = KernelTensor(rng.standard_normal((64, 1, 3, 3)), groups=64)
@@ -190,28 +194,36 @@ def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     w_1x1 = KernelTensor(rng.standard_normal((64, 1, 1, 1)), groups=64)
     w_dense_1x1 = KernelTensor(rng.standard_normal((64, 64, 1, 1)))
     g = rng.standard_normal((2, 64, 56, 56))
-    # the input gradient pads g by kh - 1 on each side before it correlates,
-    # and copies the kernel flipped with its in- and out-channels swapped
-    g_padded = np.pad(g, ((0, 0), (0, 0), (2, 2), (2, 2)))
-    # same padding makes x_in (2, 64, 56, 56) a padded copy of x's shape
+    # same padding reads x_in (2, 64, 56, 56) with x's padded extents, but
+    # in place: the padded rows a block or a tile reads are copied beside
+    # its windows. A dense 3x3 tile of 4 output rows reads 6 input rows of
+    # one item, 64 * 6 * 58 f64 values; the input gradient reads its kh - 1
+    # border the same way, and copies the kernel flipped with its in- and
+    # out-channels swapped
     x_in = Tensor(x.data[..., 1:-1, 1:-1])
+    same, tile_rows_in = same_padding(3, 3), 64 * 6 * 58 * 8
     # a stride-2 3x3 reads its windows straight from x: one (2, 64, 28, 28)
     # output beside one block of them
     stride2, y_stride2 = ConvGeometry(stride=(2, 2)), g.nbytes // 4
     cases = [(lambda: conv2d_direct(x, w), g.nbytes + _CACHE_BUDGET),
              (lambda: conv2d_direct(x, w_mult), 8 * g.nbytes + _CACHE_BUDGET),
-             (lambda: conv2d_direct(x_in, w_dense, same_padding(3, 3)),
-              x.data.nbytes + g.nbytes + _CACHE_BUDGET),
+             (lambda: conv2d_direct(x_in, w, same), g.nbytes + _CACHE_BUDGET),
+             (lambda: conv2d_direct(x_in, w_dense, same),
+              g.nbytes + _CACHE_BUDGET + tile_rows_in),
              (lambda: conv2d_direct(x, w_dense, stride2), y_stride2 + _CACHE_BUDGET),
              (lambda: conv2d_direct(x, w, stride2), y_stride2 + _CACHE_BUDGET),
              # a 1x1 kernel is one GEMM written into its output, in any layout
              (lambda: conv2d_direct(x_in, w_1x1), g.nbytes + 4096),
              (lambda: _conv_grad_x(g, w_dense_1x1), g.nbytes + 4096),
-             (lambda: _conv_grad_x(g, w), g_padded.nbytes + x.data.nbytes + _CACHE_BUDGET),
+             (lambda: _conv_grad_x(g, w), x.data.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_x(g, w_dense),
-              g_padded.nbytes + w_dense.data.nbytes + x.data.nbytes + _CACHE_BUDGET),
+              w_dense.data.nbytes + x.data.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w, ConvGeometry()), _CACHE_BUDGET),
-             (lambda: _conv_grad_w(x, g, w_dense, ConvGeometry()), x.data.nbytes + _CACHE_BUDGET)]
+             (lambda: _conv_grad_w(x, g, w_dense, ConvGeometry()), x.data.nbytes + _CACHE_BUDGET),
+             # per item: g zero-filled and x zero-bordered to x's extents, each
+             # half of x, beside dw and one tap's (64, 64) product
+             (lambda: _conv_grad_w(x_in, g, w_dense, same),
+              x.data.nbytes + w_dense.data.nbytes + 65536)]
     for op, bound in cases:
         assert peak_bytes(op) <= bound
 
