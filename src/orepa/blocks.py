@@ -9,10 +9,12 @@ similarity-matrix indices stay reproducible across runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import layers as L
-from .squeeze import BlockGraph, Branch, build_branch
+from .squeeze import BlockGraph, build_branch
 from .tensor import ConvGeometry, ShapeError
 
 # Default per-branch scaling factors, keyed by branch name; other names start at 1.0.
@@ -103,12 +105,7 @@ def linearize(block):
     idempotent. New scalings start at the preset default for recognized
     branch names and at 1.0 otherwise.
     """
-    branches = []
-    for b in block.branches:
-        scaling = b.scaling
-        if scaling is None:
-            scaling = _gamma(b.name, b.out_ch)
-        branches.append(Branch(layers=list(b.layers), weights=list(b.weights),
-                               scaling=scaling, scaling_trainable=b.scaling_trainable,
-                               name=b.name))
-    return BlockGraph(branches=branches, output_geometry=block.output_geometry)
+    return replace(block, branches=[
+        replace(b, layers=list(b.layers), weights=list(b.weights),
+                scaling=_gamma(b.name, b.out_ch) if b.scaling is None else b.scaling)
+        for b in block.branches])

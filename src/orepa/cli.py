@@ -37,9 +37,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# verify's default --tol per spec dtype, relative to max(1, max |output|): f32
-# routes round apart by a few eps(f32) of the output (1.5e-3 at |y| 3e3 on a
-# 512-channel deepstem), a tap off by 1e-2 still fails
+# verify's default --tol per spec dtype. A pass guarantees only that the two routes'
+# outputs agree within tol * max(1, max |output|). f32 routes round apart by a few
+# eps(f32) of the output (1.5e-3 at |y| 3e3 on a 512-channel deepstem), so an f32
+# kernel with one tap off by 1% can pass (orepa3x3, 16 and 64 ch: gaps 4.7e-3, 3.3e-3)
 VERIFY_TOL = {"f64": 1e-9, "f32": 1e-3}
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .squeeze import _expanded_input, _squeeze, block_forward_squeezed, squeeze_branch
 from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _addressable, _batched,
-                     _centered, _correlate, _correlate_grad_w, conv2d_direct)
+                     _centered, _correlate, _correlate_grad_w, _embedded, conv2d_direct)
 
 
 # --------------------------------------------------------------------------
@@ -213,10 +213,7 @@ def backward_through_expanded(block, x, upstream):
         for w in branch.weights:
             acts.append(conv2d_direct(Tensor(acts[-1]), w, valid).data)
         out_shape = acts.pop().shape  # only its extents are read
-        g_a = g_sum
-        if out_shape != g_sum.shape:
-            g_a = np.zeros(out_shape)
-            g_a[_centered(out_shape, g_sum.shape)] = g_sum
+        g_a = g_sum if out_shape == g_sum.shape else _embedded(g_sum, out_shape[2:])
         for li in range(len(branch.weights) - 1, -1, -1):
             w = branch.weights[li]
             # each map dies at its weight adjoint, before the input adjoint runs
@@ -622,18 +619,12 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
     ps = ParamSet(block)
     state = SgdState()
     backward = backward_through_squeeze if mode == "online" else backward_through_expanded
-    losses = []
-    history = []
-
-    def current_loss():
+    losses, history = [], []
+    for step in range(steps + 1):  # the loss after the last update is the final loss
         r = block_forward_squeezed(block, x).data - y_t
-        return float(0.5 * np.mean(r * r)), r
-
-    for step in range(steps):
-        loss, r = current_loss()
-        if not np.isfinite(loss):
-            return {"losses": losses, "final_loss": loss, "diverged_at": step,
-                    "params": history}
+        loss = float(0.5 * np.mean(r * r))
+        if not np.isfinite(loss) or step == steps:
+            break
         losses.append(loss)
         upstream = Tensor(r / r.size)
         del r  # not read again in this step
@@ -641,19 +632,15 @@ def train_toy(block, target_kernel, steps, cfg, mode="online", seed=0,
         ps.set_flat(sgd_step(ps.get_flat(), grads, cfg, state))
         if record_params:
             history.append(ps.get_flat())
-    final_loss, _ = current_loss()
-    return {"losses": losses, "final_loss": final_loss,
-            "diverged_at": None if np.isfinite(final_loss) else steps, "params": history}
+    return {"losses": losses, "final_loss": loss,
+            "diverged_at": None if np.isfinite(loss) else step, "params": history}
 
 
 def _aligned_branch_kernels(block):
     """Each branch squeezed on its own, zero-embedded at the common extents."""
     kernels = [squeeze_branch(b).data for b in block.branches]
     hw = tuple(max(k.shape[axis] for k in kernels) for axis in (2, 3))
-    bufs = [np.zeros(k.shape[:2] + hw) for k in kernels]
-    for buf, k in zip(bufs, kernels):
-        buf[_centered(buf.shape, k.shape)] = k
-    return bufs
+    return [_embedded(k, hw, np.float64) for k in kernels]
 
 
 def branch_similarity(block):

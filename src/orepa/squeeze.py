@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import as_dense, materialize
-from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _centered,
+from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _centered, _embedded,
                      conv2d_direct, pad_spatial, same_padding, scale_by_channel,
                      sum_over)
 
@@ -178,6 +178,8 @@ def merge_sequential(w1, w2):
     if w2.in_channels != w1.out_channels:
         raise MergeError(f"channel chain mismatch: w1 out {w1.out_channels}, "
                          f"w2 in {w2.in_channels}")
+    if w1.dtype != w2.dtype:
+        raise MergeError(f"dtype mismatch: w1 {w1.dtype}, w2 {w2.dtype}")
     c1, cig, k1h, k1w = w1.shape
     g, c2, cog = w1.groups, w2.out_channels, c1 // w1.groups
     keh, kew = k1h + w2.kh - 1, k1w + w2.kw - 1
@@ -220,11 +222,10 @@ def merge_parallel(kernels):
             first, acc = channels, np.zeros(k.shape, dtype=k.data.dtype)
         elif channels != first:
             raise MergeError(f"kernel {i} channels/groups differ from kernel 0")
+        elif k.data.dtype != acc.dtype:
+            raise MergeError(f"kernel {i} dtype {k.dtype} differs from kernel 0's")
         elif k.kh > acc.shape[2] or k.kw > acc.shape[3]:
-            grown = np.zeros(acc.shape[:2] + (max(k.kh, acc.shape[2]), max(k.kw, acc.shape[3])),
-                             dtype=acc.dtype)
-            grown[_centered(grown.shape, acc.shape)] = acc
-            acc = grown
+            acc = _embedded(acc, (max(k.kh, acc.shape[2]), max(k.kw, acc.shape[3])))
         acc[_centered(acc.shape, k.shape)] += k.data
         del k
     if acc is None:
@@ -381,15 +382,13 @@ def cost_report(block, feature_hw, batch):
     off_buf = 0
     off_mults = 0
     for branch in block.branches:
-        maps = []
-        for spec, kern in zip(branch.layers, branch.weights):
-            maps.append(batch * kern.out_channels * h * w)
+        for kern in branch.weights:
+            off_buf += batch * kern.out_channels * h * w
             off_mults += (batch * h * w * kern.out_channels *
                           kern.in_channels_per_group * kern.kh * kern.kw)
         if branch.scaling is not None:
-            maps.append(batch * branch.out_ch * h * w)
+            off_buf += batch * branch.out_ch * h * w
             off_mults += batch * branch.out_ch * h * w
-        off_buf += sum(maps)
     if len(block.branches) == 1:
         # the single branch's last map is the block output, not an extra buffer
         last = block.branches[0]

@@ -212,6 +212,14 @@ def _centered(outer, inner):
     return (..., slice(mh, mh + inner[-2]), slice(mw, mw + inner[-1]))
 
 
+def _embedded(src, hw, dtype=None):
+    """src zero-embedded, centered (see _centered), in a new array whose
+    trailing two axes are hw, of src's dtype unless one is given."""
+    out = np.zeros(src.shape[:-2] + tuple(hw), dtype=src.dtype if dtype is None else dtype)
+    out[_centered(out.shape, src.shape)] = src
+    return out
+
+
 def _pad_hw(arr, padding):
     """Zero-pad the trailing two axes by (top, bottom, left, right); no copy if all 0."""
     p_t, p_b, p_l, p_r = padding
@@ -227,7 +235,7 @@ def pad_spatial(x, p_t, p_b, p_l, p_r):
 
 
 def _blocks(b, groups, unit):
-    """Near-equal (items, groups) blocks, as pairs of slices, of a
+    """Near-equal blocks (item slice, group slice, items, groups) of a
     correlation over b items and `groups` groups whose working buffers take
     `unit` bytes per item and group: one block if all fit _CACHE_BUDGET,
     else blocks of whole items if one item fits, else blocks of groups of
@@ -235,7 +243,8 @@ def _blocks(b, groups, unit):
     fit = max(1, _CACHE_BUDGET // unit)
     ng, ni = min(groups, fit), max(1, min(b, fit // groups))
     ng, ni = -(-groups // -(-groups // ng)), -(-b // -(-b // ni))
-    return [(slice(i, min(i + ni, b)), slice(g, min(g + ng, groups)))
+    return [(slice(i, min(i + ni, b)), slice(g, min(g + ng, groups)),
+             min(ni, b - i), min(ng, groups - g))
             for i in range(0, b, ni) for g in range(0, groups, ng)]
 
 
@@ -312,15 +321,14 @@ def _correlate(x, w, groups=1, stride=(1, 1), padding=(0, 0, 0, 0)):
         # windows read only inside the (padded) map, as i*W + j + n <= H*W
         windows = None if padded else _flat_windows(x.reshape(b, groups, -1), kh, kw, wid, n)
         blocks = _blocks(b, groups, (kh * kw * n + cog * ho * wp + padded * hp * wp) * dt.itemsize)
-        ni, ng = (s.stop - s.start for s in blocks[0])
+        _, _, ni, ng = blocks[0]
         buf = np.empty((ni, ng, kh, kw, n), dtype=dt)
         acc = np.empty((ni, ng, cog, ho * wp), dtype=dt)
         if padded:
             # a block's zero-bordered map, and its windows as one view
             xz = np.empty((ni, ng, hp, wp), dtype=x.dtype)
             xz_windows = _flat_windows(xz.reshape(ni, ng, -1), kh, kw, wp, n)
-        for ib, gb in blocks:
-            ni, ng = ib.stop - ib.start, gb.stop - gb.start
+        for ib, gb, ni, ng in blocks:
             # the accumulator's last kw - 1 columns are never written or read
             a, p = acc[:ni, :ng], buf[:ni, :ng]
             if padded:
@@ -335,14 +343,13 @@ def _correlate(x, w, groups=1, stride=(1, 1), padding=(0, 0, 0, 0)):
     rin = s_h * (rows - 1) + kh  # input rows a tile reads
     windows = None if padded else _tile_windows(x, groups, kh, kw, ho, wo, stride)
     blocks = _blocks(b, groups, (k * rows * wo + padded * cig * rin * wp) * dt.itemsize)
-    ni, ng = (s.stop - s.start for s in blocks[0])
+    _, _, ni, ng = blocks[0]
     buf = np.empty(ni * ng * k * rows * wo, dtype=dt)
     if padded:
         # a tile's zero-bordered input rows, and their windows as one view
         xt = np.empty((ni, ng * cig, rin, wp), dtype=x.dtype)
         xt_windows = _tile_windows(xt, ng, kh, kw, rows, wo, stride)
-    for ib, gb in blocks:
-        ni, ng = ib.stop - ib.start, gb.stop - gb.start
+    for ib, gb, ni, ng in blocks:
         for h in range(0, ho, rows):
             if padded:
                 _zero_bordered(xt[:ni, :ng * cig], x[ib, gb.start * cig:gb.stop * cig],
@@ -380,20 +387,18 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0
     dw, so nothing is summed. Only the adjoint keeps phases: strided tile
     windows, as the forward's, measured faster here but raised the online
     step's peak."""
-    s_h, s_w = stride
-    if (s_h, s_w) != (1, 1):
-        x, padding = _pad_hw(x, padding), (0, 0, 0, 0)
     b, c, hgt, wid = x.shape
     co, ho, wo = g.shape[1:]
     cig, cog = c // groups, co // groups
     dt = np.result_type(x, g)
     dw = np.zeros((groups, cog, cig, kh * kw), dtype=dt)
+    s_h, s_w = stride
     if (s_h, s_w) != (1, 1):
-        d5 = dw.reshape(co, cig, kh, kw)
+        xp, d5 = _pad_hw(x, padding), dw.reshape(co, cig, kh, kw)
         for p in range(min(s_h, kh)):
             for q in range(min(s_w, kw)):
                 d5[..., p::s_h, q::s_w] = _correlate_grad_w(
-                    x[..., p::s_h, q::s_w], g, -(-(kh - p) // s_h), -(-(kw - q) // s_w), groups)
+                    xp[..., p::s_h, q::s_w], g, -(-(kh - p) // s_h), -(-(kw - q) // s_w), groups)
         return d5
     p_t, p_b, p_l, p_r = padding
     hp, wp = hgt + p_t + p_b, wid + p_l + p_r
@@ -401,19 +406,17 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0
     g5 = g.reshape(b, groups, cog, ho, wo)
     n = hp * wp - (kh - 1) * wp - (kw - 1)
     blocks = _blocks(b, groups, (cig + cog) * hp * wp * dt.itemsize)
-    ni, ng = (s.stop - s.start for s in blocks[0])
+    _, _, ni, ng = blocks[0]
     buf = np.empty(ng * cog * ni * hp * wp, dtype=g.dtype)
     xz = np.empty(ng * cig * ni * hp * wp, dtype=x.dtype) if any(padding) else None
-    for ib, gb in blocks:
-        ni, ng = ib.stop - ib.start, gb.stop - gb.start
+    for ib, gb, ni, ng in blocks:
         xb = x5[ib, gb].transpose(1, 2, 0, 3, 4)
         if xz is not None:
             xb = _zero_bordered(xz[:ng * cig * ni * hp * wp].reshape(ng, cig, ni, hp, wp),
                                 xb, -p_t, p_l)
         xb = xb.reshape(ng, cig, -1)
-        gz = buf[:ng * cog * ni * hp * wp].reshape(ng, cog, ni, hp, wp)
-        gz.fill(0)
-        gz[..., :ho, :wo] = g5[ib, gb].transpose(1, 2, 0, 3, 4)
+        gz = _zero_bordered(buf[:ng * cog * ni * hp * wp].reshape(ng, cog, ni, hp, wp),
+                            g5[ib, gb].transpose(1, 2, 0, 3, 4), 0, 0)
         gf = gz.reshape(ng, cog, -1)[..., :(ni - 1) * hp * wp + n]
         for t in range(kh * kw):
             off = t // kw * wp + t % kw

@@ -689,6 +689,28 @@ def test_train_toy_divergence_reported():
     assert res["diverged_at"] is not None
 
 
+@pytest.mark.parametrize("mode", ["online", "offline"])
+def test_train_toy_without_steps_reports_the_initial_loss(mode):
+    def run(steps):
+        block = build_preset("orepa3x3", 2, 2, 3, seed=14)
+        target = KernelTensor(np.full((2, 2) + block.effective_k, 0.1))
+        return train_toy(block, target, steps, OptimizerConfig(eta=0.05), mode=mode)
+
+    res = run(0)
+    assert res["losses"] == [] and res["params"] == [] and res["diverged_at"] is None
+    assert np.isfinite(res["final_loss"]) and res["final_loss"] == run(1)["losses"][0]
+
+
+@pytest.mark.parametrize("mode", ["online", "offline"])
+def test_train_toy_reports_a_nan_first_loss_at_step_0(mode):
+    branch = build_branch([L.LayerSpec("conv", 1, 1, k=3)], np.random.default_rng(0),
+                          scaling=np.ones(1))
+    branch.weights[0] = KernelTensor(np.full((1, 1, 3, 3), np.nan))
+    res = train_toy(BlockGraph(branches=[branch]), KernelTensor(np.zeros((1, 1, 3, 3))), 5,
+                    OptimizerConfig(eta=0.05), mode=mode)
+    assert res["losses"] == [] and res["diverged_at"] == 0 and np.isnan(res["final_loss"])
+
+
 @pytest.mark.parametrize("cfg", [
     OptimizerConfig(eta=0.5),
     OptimizerConfig(eta=0.5, momentum=0.9, momentum_mode="standard"),

@@ -82,6 +82,12 @@ def test_merge_channel_mismatch():
     w2 = KernelTensor(np.ones((2, 3, 1, 1)))
     with pytest.raises(MergeError):
         merge_sequential(w1, w2)
+    # a kernel of another dtype is refused in either order, not rounded into w1's
+    k32 = KernelTensor(np.ones((2, 2, 3, 3)), dtype="f32")
+    k64 = KernelTensor(np.ones((2, 2, 1, 1)))
+    for a, b in ((k32, k64), (k64, k32)):
+        with pytest.raises(MergeError, match="dtype mismatch: w1 f.., w2 f.."):
+            merge_sequential(a, b)
 
 
 def test_merge_rejects_grouped():
@@ -198,6 +204,11 @@ def test_merge_parallel_checks_each_kernel_of_a_generator():
     with pytest.raises(MergeError, match="kernel 1 channels/groups differ"):
         merge_parallel(k for k in [KernelTensor(np.ones((2, 2, 3, 3))),
                                    KernelTensor(np.ones((2, 1, 3, 3)), groups=2)])
+    k32 = KernelTensor(np.ones((2, 1, 3, 3)), dtype="f32")
+    k64 = KernelTensor(np.ones((2, 1, 1, 1)))
+    for ks in ([k32, k64], [k64, k32]):
+        with pytest.raises(MergeError, match="kernel 1 dtype f.. differs from kernel 0's"):
+            merge_parallel(k for k in ks)
 
 
 def test_branch_scaling_examples():

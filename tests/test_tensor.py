@@ -80,6 +80,22 @@ def test_channelwise_conv_above_the_cache_budget_keeps_tap_order(shape, dtype, m
     assert np.all(err <= k[0] * k[1] * np.finfo(x.data.dtype).eps * scale)
 
 
+@settings(max_examples=300, deadline=None)
+@given(items=st.integers(1, 40), groups=st.integers(1, 1100), unit=st.integers(1, 1 << 22))
+def test_blocks_cover_every_item_and_group_once_the_first_the_largest(items, groups, unit):
+    # the kernels size their buffers from the first block, and cut each
+    # block's share out of them by the counts that come with its slices
+    blocks = _blocks(items, groups, unit)
+    seen = np.zeros((items, groups), dtype=int)
+    _, _, ni0, ng0 = blocks[0]
+    for ib, gb, ni, ng in blocks:
+        assert (ni, ng) == (len(range(items)[ib]), len(range(groups)[gb]))
+        assert 1 <= ni <= ni0 and 1 <= ng <= ng0
+        assert ni * ng * unit <= _CACHE_BUDGET or (ni, ng) == (1, 1)
+        seen[ib, gb] += 1
+    assert np.all(seen == 1)
+
+
 def test_strided_channelwise_conv_above_the_cache_budget():
     rng = np.random.default_rng(29)
     x = rng.uniform(-1, 1, size=(2, 64, 116, 116))
