@@ -29,7 +29,7 @@ from .dynamics import (OptimizerConfig, branch_similarity, channel_norm_profile,
                        probe_conv_scale_update, probe_multilayer_lemma,
                        probe_shared_gamma, train_toy)
 from .okt import FormatError, read_okt, write_okt
-from .squeeze import MergeError, cost_report, expanded_forward, squeeze_block
+from .squeeze import MergeError, _output_hw, cost_report, expanded_forward, squeeze_block
 from .tensor import KernelTensor, ShapeError, Tensor, _addressable, conv2d_direct
 
 EXIT_OK = 0
@@ -137,12 +137,8 @@ def cmd_gradcheck(args):
     rng = np.random.default_rng(doc["seed"])
     x = Tensor(rng.standard_normal(_addressable((args.batch, block.in_ch, *args.hw))),
                dtype=doc.get("dtype", "f64"))
-    geom = block.eval_geometry()
-    s_h, s_w = geom.stride
-    h_out = (args.hw[0] - 1) // s_h + 1
-    w_out = (args.hw[1] - 1) // s_w + 1
-    upstream = Tensor(rng.standard_normal(_addressable((args.batch, block.out_ch, h_out, w_out))),
-                      dtype=doc.get("dtype", "f64"))
+    up_shape = (args.batch, block.out_ch) + _output_hw(block, args.hw)
+    upstream = Tensor(rng.standard_normal(_addressable(up_shape)), dtype=doc.get("dtype", "f64"))
     res = gradcheck_block(block, x, upstream)
     _print_table([("params", res["n_params"]),
                   ("route diff (squeezed vs expanded)", f"{res['route_diff']:.3e}"),

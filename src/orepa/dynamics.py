@@ -19,9 +19,11 @@ from functools import partial
 
 import numpy as np
 
-from .squeeze import _expanded_input, _squeeze, block_forward_squeezed, squeeze_branch
+from .layers import _dense_grad_to_native
+from .squeeze import (_expanded_input, _merge_backward, _output_hw, _squeeze,
+                      block_forward_squeezed, squeeze_branch)
 from .tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _addressable, _batched,
-                     _centered, _correlate, _correlate_grad_w, _embedded, conv2d_direct)
+                     _centered, _conv_grad_w, _conv_grad_x, _embedded, conv2d_direct)
 
 
 # --------------------------------------------------------------------------
@@ -64,11 +66,10 @@ class ParamSet:
         self.size = offset
 
     def _gather(self, value_of):
-        """value_of(entry) at each entry's offset of one f64 vector; None stays zero."""
+        """value_of(entry) at each entry's offset of one f64 vector."""
         out = np.zeros(self.size)
         for e in self.entries:
-            if (vals := value_of(e)) is not None:
-                out[e.offset:e.offset + e.size] = np.asarray(vals, dtype=np.float64).ravel()
+            out[e.offset:e.offset + e.size] = np.asarray(value_of(e), dtype=np.float64).ravel()
         return out
 
     def get_flat(self):
@@ -90,84 +91,31 @@ class ParamSet:
                                                    groups=old.groups)
 
     def flatten_grads(self, grad_map):
-        """grad_map: {(branch, layer): array} with layer -1 for gamma."""
-        return self._gather(lambda e: grad_map.get((e.branch, e.layer)))
-
-
-# --------------------------------------------------------------------------
-# Convolution and merge adjoints
-# --------------------------------------------------------------------------
-
-def _conv_grad_w(x, gout, kernel, geom):
-    """d<gout, conv(x, kernel, geom)> / d kernel, native grouped shape."""
-    return _correlate_grad_w(_batched(x)[0], _batched(gout)[0], kernel.kh, kernel.kw,
-                             kernel.groups, geom.stride, geom.padding)
-
-
-def _conv_grad_x(gout, kernel):
-    """Input gradient of a VALID stride-1 convolution: the full correlation
-    of gout with the flipped kernel, in- and out-channels swapped per group.
-    _correlate reads gout's kh - 1 and kw - 1 rows and columns of zero
-    border in place, so no padded copy of gout is made."""
-    g, kh, kw = kernel.groups, kernel.kh, kernel.kw
-    flipped = kernel.data[..., ::-1, ::-1].reshape(g, -1, kernel.in_channels_per_group, kh, kw)
-    flipped = flipped.transpose(0, 2, 1, 3, 4).reshape(-1, kernel.out_channels // g, kh, kw)
-    return _correlate(_batched(gout)[0], flipped, g, padding=(kh - 1, kh - 1, kw - 1, kw - 1))
-
-
-def _merge_backward(w1, w2, gout):
-    """Adjoint of merge_sequential for a grouped w1 and a dense w2, given gout,
-    the dense merged kernel's gradient; dw1 comes in w1's native shape.
-
-    For a 1x1 w1 and a wider w2, whose taps never overlap, gout regrouped
-    to (C2, G, C0 / G, k2h * k2w) holds every window of the merge, so each
-    gradient is one batched GEMM over all taps: dw1 over G, contracting C2
-    and w2's taps, and dw2 over (C2, G). Every other pair runs the merge's
-    tap loop backward: the window gout[:, :, a:a + k1h, b:b + k1w] of w2's tap
-    (a, b), as (G, C2, C0 / G * k1h * k1w), adds w2_tap^T @ window to dw1 and
-    gives dw2's tap as window @ w1^T, one GEMM each over G; a 1x1 w2 is one tap."""
-    g, cig, k1h, k1w = w1.groups, w1.in_channels_per_group, w1.kh, w1.kw
-    c2, cog, k2 = gout.shape[0], w1.out_channels // g, w2.kh * w2.kw
-    w1_rows = w1.data.reshape(g, cog, -1)
-    if k1h * k1w == 1 < k2:
-        # win[o, g, p, (a, b)] = gout[o, g * cig + p, a, b]
-        win = gout.reshape(c2, g, cig, k2)
-        # dw1[g, c, p] = sum_{o, (a, b)} w2[o, g, c, (a, b)] * win[o, g, p, (a, b)]
-        # dw2[o, g, c, (a, b)] = sum_p w1[g, c, p] * win[o, g, p, (a, b)]
-        dw1 = np.matmul(w2.data.reshape(c2, g, cog, k2).transpose(1, 2, 0, 3).reshape(g, cog, -1),
-                        win.transpose(1, 0, 3, 2).reshape(g, c2 * k2, -1))
-        return dw1.reshape(w1.shape), np.matmul(w1_rows, win).reshape(w2.shape)
-    w2_taps = w2.data.reshape(c2, g, cog, k2)
-    dw1 = np.zeros(w1_rows.shape, dtype=np.result_type(w1.data, gout))
-    dw2 = np.empty((k2, c2, g, cog), dtype=dw1.dtype)  # taps first: each tap is one GEMM's out
-    gout_g = gout.reshape((c2, g, cig) + gout.shape[2:])
-    for t, (a, b) in enumerate(np.ndindex(w2.kh, w2.kw)):
-        # window[g, o, (p, i, j)] = gout[o, g * cig + p, a + i, b + j], a view for a 1x1 w2
-        window = gout_g[..., a:a + k1h, b:b + k1w].reshape(c2, g, -1).transpose(1, 0, 2)
-        dw1 += w2_taps[..., t].transpose(1, 2, 0) @ window
-        np.matmul(window, w1_rows.transpose(0, 2, 1), out=dw2[t].transpose(1, 0, 2))
-        del window  # freed before the next tap's copy
-    return dw1.reshape(w1.shape), dw2.transpose(1, 2, 3, 0).reshape(w2.shape)
-
-
-def _dense_grad_to_native(grad, kernel):
-    """A grouped kernel's gradient from that of its dense expansion; a
-    gradient already in the kernel's native shape passes through."""
-    if grad.shape == kernel.shape:
-        return grad
-    g = kernel.groups
-    blocks = grad.reshape(g, kernel.out_channels // g, g, -1, kernel.kh, kernel.kw)
-    return blocks[np.arange(g), :, np.arange(g)].reshape(kernel.shape)
+        """grad_map: {(branch, layer): array}, layer -1 for gamma; KeyError if one is missing."""
+        return self._gather(lambda e: grad_map[(e.branch, e.layer)])
 
 
 # --------------------------------------------------------------------------
 # The two gradient routes
 # --------------------------------------------------------------------------
 
+def _route_inputs(block, x, upstream):
+    """x and upstream as rank-4 arrays; ShapeError unless x has the block's
+    input channels and upstream the extents of the block's output on x."""
+    xb, up = _batched(x)[0], _batched(upstream)[0]
+    if xb.shape[1] != block.in_ch:
+        raise ShapeError("channels", block.in_ch, xb.shape[1])
+    want = (len(xb), block.out_ch) + _output_hw(block, xb.shape[2:])
+    if up.shape != want:
+        raise ShapeError("upstream", want, up.shape)
+    return xb, up
+
+
 def backward_through_squeeze(block, x, upstream):
     """Gradients of L = <upstream, conv(x, W_e)> for every trainable scalar,
     chained through the kernel-space merges of the fold squeeze_block
     runs. Returns a flat vector in ParamSet order."""
+    x, upstream = _route_inputs(block, x, upstream)
     ps = ParamSet(block)
     folds = []
     w_e = _squeeze(block, [], folds)
@@ -196,14 +144,13 @@ def backward_through_expanded(block, x, upstream):
     scaling acts in kernel space: with dw the last layer's unscaled weight
     adjoint, grad gamma_o = <w_o, dw_o> (as <g_o, conv(a, w)_o> = <w_o, dw_o>),
     grad w = gamma * dw, and the input adjoint runs with w scaled by gamma."""
-    xp, out_hw = _expanded_input(block, x)
-    xp = _batched(xp)[0]
+    _, up = _route_inputs(block, x, upstream)
+    xp = _batched(_expanded_input(block, x))[0]
     ps = ParamSet(block)
     s_h, s_w = block.output_geometry.stride
-    full, up = (xp.shape[0], block.out_ch) + out_hw, _batched(upstream)[0]
     g_sum = up.astype(np.float64, copy=False)
-    if up.shape != full:
-        g_sum = np.zeros(full)
+    if (s_h, s_w) != (1, 1):
+        g_sum = np.zeros((xp.shape[0], block.out_ch) + x.shape[-2:])
         g_sum[:, :, ::s_h, ::s_w] = up
 
     grad_map = {}

@@ -187,3 +187,13 @@ def as_dense(w):
     blocks = dense.reshape(g, w.out_channels // g, g, w.in_channels_per_group, w.kh, w.kw)
     blocks[np.arange(g), :, np.arange(g)] = w.data.reshape(g, -1, *w.shape[1:])
     return KernelTensor(dense, groups=1)
+
+
+def _dense_grad_to_native(grad, kernel):
+    """A grouped kernel's gradient from that of its dense expansion; a
+    gradient already in the kernel's native shape passes through."""
+    if grad.shape == kernel.shape:
+        return grad
+    g = kernel.groups
+    blocks = grad.reshape(g, kernel.out_channels // g, g, -1, kernel.kh, kernel.kw)
+    return blocks[np.arange(g), :, np.arange(g)].reshape(kernel.shape)

@@ -9,9 +9,9 @@ pooling or filter layer, a depthwise kernel before a pointwise one), every
 merged tap takes exactly one tap of each, so the merge is one batched GEMM
 over all taps of the wider kernel, written straight into the merged
 kernel. Only two kernels both wider than 1x1 (stacked kxk stems) loop over
-the second kernel's taps. The merge adjoint, dynamics._merge_backward, runs
-that tap loop backward (a 1x1 second kernel is one tap), except for a 1x1
-first kernel before a wider one, whose gradients are one batched GEMM each.
+the second kernel's taps. The merge adjoint, _merge_backward, runs that tap
+loop backward (a 1x1 second kernel is one tap), except for a 1x1 first
+kernel before a wider one, whose gradients are one batched GEMM each.
 Parallel branches merge by center-aligned zero embedding and tap-wise
 summation, which requires odd extents. The squeeze trace and cost_report
 model the dense algebra (every grouped layer expanded, then merged),
@@ -203,6 +203,41 @@ def merge_sequential(w1, w2):
     return KernelTensor(out, groups=1)
 
 
+def _merge_backward(w1, w2, gout):
+    """Adjoint of merge_sequential for a grouped w1 and a dense w2, given gout,
+    the dense merged kernel's gradient; dw1 comes in w1's native shape.
+
+    For a 1x1 w1 and a wider w2, whose taps never overlap, gout regrouped
+    to (C2, G, C0 / G, k2h * k2w) holds every window of the merge, so each
+    gradient is one batched GEMM over all taps: dw1 over G, contracting C2
+    and w2's taps, and dw2 over (C2, G). Every other pair runs the merge's
+    tap loop backward: the window gout[:, :, a:a + k1h, b:b + k1w] of w2's tap
+    (a, b), as (G, C2, C0 / G * k1h * k1w), adds w2_tap^T @ window to dw1 and
+    gives dw2's tap as window @ w1^T, one GEMM each over G; a 1x1 w2 is one tap."""
+    g, cig, k1h, k1w = w1.groups, w1.in_channels_per_group, w1.kh, w1.kw
+    c2, cog, k2 = gout.shape[0], w1.out_channels // g, w2.kh * w2.kw
+    w1_rows = w1.data.reshape(g, cog, -1)
+    if k1h * k1w == 1 < k2:
+        # win[o, g, p, (a, b)] = gout[o, g * cig + p, a, b]
+        win = gout.reshape(c2, g, cig, k2)
+        # dw1[g, c, p] = sum_{o, (a, b)} w2[o, g, c, (a, b)] * win[o, g, p, (a, b)]
+        # dw2[o, g, c, (a, b)] = sum_p w1[g, c, p] * win[o, g, p, (a, b)]
+        dw1 = np.matmul(w2.data.reshape(c2, g, cog, k2).transpose(1, 2, 0, 3).reshape(g, cog, -1),
+                        win.transpose(1, 0, 3, 2).reshape(g, c2 * k2, -1))
+        return dw1.reshape(w1.shape), np.matmul(w1_rows, win).reshape(w2.shape)
+    w2_taps = w2.data.reshape(c2, g, cog, k2)
+    dw1 = np.zeros(w1_rows.shape, dtype=np.result_type(w1.data, gout))
+    dw2 = np.empty((k2, c2, g, cog), dtype=dw1.dtype)  # taps first: each tap is one GEMM's out
+    gout_g = gout.reshape((c2, g, cig) + gout.shape[2:])
+    for t, (a, b) in enumerate(np.ndindex(w2.kh, w2.kw)):
+        # window[g, o, (p, i, j)] = gout[o, g * cig + p, a + i, b + j], a view for a 1x1 w2
+        window = gout_g[..., a:a + k1h, b:b + k1w].reshape(c2, g, -1).transpose(1, 0, 2)
+        dw1 += w2_taps[..., t].transpose(1, 2, 0) @ window
+        np.matmul(window, w1_rows.transpose(0, 2, 1), out=dw2[t].transpose(1, 0, 2))
+        del window  # freed before the next tap's copy
+    return dw1.reshape(w1.shape), dw2.transpose(1, 2, 3, 0).reshape(w2.shape)
+
+
 def merge_parallel(kernels):
     """Sum kernels with spatial centers aligned; extents must be odd.
 
@@ -324,23 +359,22 @@ def check_center_alignable(block):
 
 
 def _expanded_input(block, x):
-    """The expanded route's prologue: channel and center-alignment checks,
-    the single outer padding, and the unstrided output extents."""
-    if x.channels != block.in_ch:
-        raise ShapeError("channels", block.in_ch, x.channels)
+    """The expanded route's prologue: the center-alignment check and the
+    single outer padding, K_e - 1 per axis, so that every unstrided output
+    keeps x's extents. conv2d_direct checks x's channels."""
     check_center_alignable(block)
-    xp = pad_spatial(x, *block.eval_geometry().padding)
-    keh, kew = block.effective_k
-    out_hw = (xp.shape[-2] - keh + 1, xp.shape[-1] - kew + 1)
-    if min(out_hw) < 1:
-        raise ShapeError("spatial", f">= effective kernel {keh}x{kew}", xp.shape[-2:])
-    return xp, out_hw
+    return pad_spatial(x, *block.eval_geometry().padding)
+
+
+def _output_hw(block, hw):
+    """The extents of the block's strided output on an input of extents hw."""
+    return tuple((e - 1) // s + 1 for e, s in zip(hw, block.output_geometry.stride))
 
 
 def expanded_forward(block, x):
     """Evaluate the block layer by layer under single outer padding, one
     branch at a time into sum_over's running sum."""
-    xp, out_hw = _expanded_input(block, x)
+    xp = _expanded_input(block, x)
     valid = ConvGeometry()
 
     def branch_outputs():
@@ -350,7 +384,7 @@ def expanded_forward(block, x):
                 a = conv2d_direct(a, w, valid)
             if branch.scaling is not None:
                 a = scale_by_channel(a, branch.scaling)
-            yield Tensor(a.data[_centered(a.shape, out_hw)])
+            yield Tensor(a.data[_centered(a.shape, x.shape)])
 
     y = sum_over(branch_outputs())
     s_h, s_w = block.output_geometry.stride
@@ -375,9 +409,7 @@ def cost_report(block, feature_hw, batch):
     convolution. No wall clock is involved.
     """
     h, w = feature_hw
-    s_h, s_w = block.output_geometry.stride
-    h_out = (h - 1) // s_h + 1
-    w_out = (w - 1) // s_w + 1
+    h_out, w_out = _output_hw(block, feature_hw)
 
     off_buf = 0
     off_mults = 0
@@ -391,8 +423,7 @@ def cost_report(block, feature_hw, batch):
             off_mults += batch * branch.out_ch * h * w
     if len(block.branches) == 1:
         # the single branch's last map is the block output, not an extra buffer
-        last = block.branches[0]
-        off_buf -= batch * last.out_ch * h * w
+        off_buf -= batch * block.out_ch * h * w
 
     result = squeeze_block(block)
     on_buf = sum(step.buffer_elems for step in result.trace)

@@ -87,20 +87,17 @@ def _checked_array(data, dtype, ranks):
     return arr
 
 
-def _freeze(arr):
-    arr = np.ascontiguousarray(arr)
-    dtype_name(arr.dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-class Tensor:
-    """Immutable dense feature tensor, rank 3 (C, H, W) or rank 4 (B, C, H, W)."""
+class _Array:
+    """A read-only f32/f64 array as .data, with its shape and dtype name.
+    A C-contiguous array of the stored dtype is kept, not copied, and made
+    read-only, so the caller's array is frozen too; a view still shows
+    writes through its writable base. Any other input is copied first."""
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        self.data = _freeze(_checked_array(data, dtype, (3, 4)))
+    def __init__(self, arr):
+        self.data = np.ascontiguousarray(arr)
+        self.data.setflags(write=False)
 
     @property
     def shape(self):
@@ -109,6 +106,16 @@ class Tensor:
     @property
     def dtype(self):
         return dtype_name(self.data.dtype)
+
+
+class Tensor(_Array):
+    """Dense feature tensor, rank 3 (C, H, W) or rank 4 (B, C, H, W). It
+    keeps the array it is given and makes it read-only (see _Array)."""
+
+    __slots__ = ()
+
+    def __init__(self, data, dtype=None):
+        super().__init__(_checked_array(data, dtype, (3, 4)))
 
     @property
     def rank(self):
@@ -125,16 +132,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
-class KernelTensor:
-    """Convolution weight in (Co, Ci // G, kH, kW) layout with a group count."""
+class KernelTensor(_Array):
+    """Convolution weight in (Co, Ci // G, kH, kW) layout with a group count.
+    It keeps the array it is given and makes it read-only (see _Array)."""
 
-    __slots__ = ("data", "groups")
+    __slots__ = ("groups",)
 
     def __init__(self, data, groups=1, dtype=None):
         arr = _checked_array(data, dtype, (4,))
         if groups < 1 or arr.shape[0] % groups != 0:
             raise ShapeError("out_channels", f"divisible by groups={groups}", arr.shape[0])
-        self.data = _freeze(arr)
+        super().__init__(arr)
         self.groups = int(groups)
 
     @property
@@ -156,14 +164,6 @@ class KernelTensor:
     @property
     def kw(self):
         return self.data.shape[3]
-
-    @property
-    def shape(self):
-        return tuple(self.data.shape)
-
-    @property
-    def dtype(self):
-        return dtype_name(self.data.dtype)
 
     def astype(self, dtype):
         return KernelTensor(self.data.astype(np_dtype(dtype)), groups=self.groups)
@@ -424,6 +424,23 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0
     return dw.reshape(co, cig, kh, kw)
 
 
+def _conv_grad_w(x, gout, kernel, geom):
+    """d<gout, conv(x, kernel, geom)> / d kernel, native grouped shape."""
+    return _correlate_grad_w(_batched(x)[0], _batched(gout)[0], kernel.kh, kernel.kw,
+                             kernel.groups, geom.stride, geom.padding)
+
+
+def _conv_grad_x(gout, kernel):
+    """Input gradient of a VALID stride-1 convolution: the full correlation
+    of gout with the flipped kernel, in- and out-channels swapped per group.
+    _correlate reads gout's kh - 1 and kw - 1 rows and columns of zero
+    border in place, so no padded copy of gout is made."""
+    g, kh, kw = kernel.groups, kernel.kh, kernel.kw
+    flipped = kernel.data[..., ::-1, ::-1].reshape(g, -1, kernel.in_channels_per_group, kh, kw)
+    flipped = flipped.transpose(0, 2, 1, 3, 4).reshape(-1, kernel.out_channels // g, kh, kw)
+    return _correlate(_batched(gout)[0], flipped, g, padding=(kh - 1, kh - 1, kw - 1, kw - 1))
+
+
 def conv2d_direct(x, w, geom=None, bias=None):
     """Direct grouped 2-d cross-correlation of x with kernel w.
 
@@ -454,10 +471,8 @@ def conv2d_direct(x, w, geom=None, bias=None):
 
 
 def add(x, y):
-    """Elementwise sum of two equal-shape tensors."""
-    if x.shape != y.shape:
-        raise ShapeError("shape", x.shape, y.shape)
-    return Tensor(x.data + y.data)
+    """Elementwise sum of two equal-shape, equal-dtype tensors (see sum_over)."""
+    return sum_over((x, y))
 
 
 def scale_by_channel(x, gamma):

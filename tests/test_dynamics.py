@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from orepa import layers as L
 from orepa.blocks import build_preset
-from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _conv_grad_w,
-                            _conv_grad_x, _dense_grad_to_native, _merge_backward,
-                            _relative_gap,
+from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _relative_gap,
                             backward_through_expanded, backward_through_squeeze,
                             branch_similarity, channel_norm_profile,
                             finite_difference_grads, gradcheck_block,
@@ -15,9 +13,11 @@ from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _conv_grad_w,
                             probe_conv_scale_update, probe_multilayer_lemma,
                             probe_shared_gamma, project_onto, sgd_step,
                             train_toy)
-from orepa.squeeze import (BlockGraph, MergeError, build_branch, merge_sequential,
-                           squeeze_block)
-from orepa.tensor import ConvGeometry, KernelTensor, Tensor, conv2d_direct
+from orepa.layers import _dense_grad_to_native
+from orepa.squeeze import (BlockGraph, MergeError, _merge_backward, build_branch,
+                           merge_sequential, squeeze_block)
+from orepa.tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _conv_grad_w,
+                          _conv_grad_x, conv2d_direct)
 
 from oracles import (branch_scaling_grad_loop, conv2d_loop, merge_backward_loop,
                      merge_kernels_loop)
@@ -54,6 +54,13 @@ def test_paramset_scaling_layer_exposes_diagonal():
     assert entry.shape == (2, 1, 1, 1)
     flat = ps.get_flat()
     np.testing.assert_array_equal(flat[entry.offset:entry.offset + 2], [0.5, 0.5])
+
+
+def test_flatten_grads_refuses_a_missing_gradient():
+    ps = ParamSet(build_preset("orepa3x3", 2, 3, 3, seed=1))
+    grad_map = {(e.branch, e.layer): np.zeros(e.shape) for e in ps.entries[1:]}
+    with pytest.raises(KeyError):
+        ps.flatten_grads(grad_map)
 
 
 # --------------------------------------------------------------------------
@@ -234,6 +241,23 @@ def test_a_branch_scaled_by_zero_gets_only_a_gamma_gradient():
         grads = route(block, x, g)
         weight, gamma = (grads[e.offset:e.offset + e.size] for e in entries)
         assert np.all(weight == 0) and np.all(gamma != 0)
+
+
+@pytest.mark.parametrize("route", [backward_through_squeeze, backward_through_expanded])
+@pytest.mark.parametrize("stride,x_shape,up_shape", [
+    (1, (2, 4, 6, 6), (2, 4, 5, 5)), (1, (2, 4, 6, 6), (2, 4, 7, 7)),
+    (1, (2, 4, 6, 6), (1, 4, 6, 6)), (2, (2, 4, 6, 6), (2, 4, 2, 2)),
+    (2, (2, 4, 6, 6), (2, 4, 6, 6)), (1, (2, 3, 6, 6), (2, 4, 6, 6)),
+    (1, (2, 8, 6, 6), (2, 4, 6, 6))])
+def test_both_routes_refuse_an_input_or_upstream_of_other_extents(route, stride, x_shape,
+                                                                   up_shape):
+    # each row was taken by one route and refused by the other, or refused
+    # by numpy online; the block's output on x is (2, 4, 6 // stride, 6 // stride)
+    block = build_preset("orepa3x3", 4, 4, k=3, seed=0, stride=(stride, stride))
+    rng = np.random.default_rng(0)
+    x, g = Tensor(rng.standard_normal(x_shape)), Tensor(rng.standard_normal(up_shape))
+    with pytest.raises(ShapeError):
+        route(block, x, g)
 
 
 def test_offline_backward_allocation_bound():

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orepa import tensor
-from orepa.dynamics import _conv_grad_w, _conv_grad_x
 from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError, Tensor, add,
-                          _blocks, _tile_rows, conv2d_direct, pad_spatial, same_padding,
-                          scale_by_channel, sum_over)
+                          _blocks, _conv_grad_w, _conv_grad_x, _tile_rows, conv2d_direct,
+                          pad_spatial, same_padding, scale_by_channel, sum_over)
 
 from oracles import conv2d_loop, conv_grad_w_loop
 from util import peak_bytes
@@ -399,6 +398,8 @@ def test_elementwise_shape_errors():
     with pytest.raises(ShapeError):
         add(x, Tensor(np.zeros((2, 2, 3))))
     with pytest.raises(ShapeError):
+        add(x, x.astype("f32"))
+    with pytest.raises(ShapeError):
         scale_by_channel(x, [1.0, 2.0, 3.0])
     with pytest.raises(ShapeError):
         sum_over([x, x.astype("f32")])
@@ -411,6 +412,18 @@ def test_values_are_immutable():
     w = KernelTensor(np.ones((1, 1, 1, 1)))
     with pytest.raises(ValueError):
         w.data[0, 0, 0, 0] = 3.0
+
+
+def test_a_tensor_keeps_its_array_without_a_copy():
+    # the caller's own array turns read-only; a view still sees its base's writes
+    a = np.ones((1, 2, 2))
+    assert Tensor(a).data is a and not a.flags.writeable
+    b = np.zeros((3, 2, 2))
+    view = Tensor(b[:1])
+    b[0] = 5.0
+    assert view.data.max() == 5.0
+    c = np.ones((2, 1, 1, 1), dtype=np.float32)
+    assert KernelTensor(c, dtype="f64").data is not c and c.flags.writeable
 
 
 def test_geometry_validation():
