@@ -116,7 +116,6 @@ def backward_through_squeeze(block, x, upstream):
     chained through the kernel-space merges of the fold squeeze_block
     runs. Returns a flat vector in ParamSet order."""
     x, upstream = _route_inputs(block, x, upstream)
-    ps = ParamSet(block)
     folds = []
     w_e = _squeeze(block, [], folds)
     g_e = _conv_grad_w(x, upstream, w_e, block.eval_geometry())
@@ -125,17 +124,17 @@ def backward_through_squeeze(block, x, upstream):
     grad_map = {}
     for bi, branch in enumerate(block.branches):
         # the list lets go of each fold as its walk starts, so a walked
-        # branch's factors and prefix products die as the next walk begins
-        (factors, prefix), folds[bi] = folds[bi], None
+        # branch's prefix products die as the next walk begins
+        prefix, folds[bi] = folds[bi], None
         g_k = g_e[_centered(g_e.shape, prefix[-1].shape)]
         if branch.scaling is not None:
             grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k)
             g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
-        for li in range(len(factors) - 1, 0, -1):
-            g_k, g_wi = _merge_backward(prefix[li - 1], factors[li], g_k)
-            grad_map[(bi, li)] = _dense_grad_to_native(g_wi, branch.weights[li])
+        for li in range(len(prefix) - 1, 0, -1):
+            g_k, grad_map[(bi, li)] = _merge_backward(prefix[li - 1], branch.weights[li], g_k)
+        # only a single-layer grouped branch's g_k is still a dense crop of g_e
         grad_map[(bi, 0)] = _dense_grad_to_native(g_k, branch.weights[0])
-    return ps.flatten_grads(grad_map)
+    return ParamSet(block).flatten_grads(grad_map)
 
 
 def backward_through_expanded(block, x, upstream):
@@ -146,7 +145,6 @@ def backward_through_expanded(block, x, upstream):
     grad w = gamma * dw, and the input adjoint runs with w scaled by gamma."""
     _, up = _route_inputs(block, x, upstream)
     xp = _batched(_expanded_input(block, x))[0]
-    ps = ParamSet(block)
     s_h, s_w = block.output_geometry.stride
     g_sum = up.astype(np.float64, copy=False)
     if (s_h, s_w) != (1, 1):
@@ -173,7 +171,7 @@ def backward_through_expanded(block, x, upstream):
             if li > 0:
                 g_a = _conv_grad_x(g_a, w)
         del g_a  # the branch's last map gradient, before the next branch's maps
-    return ps.flatten_grads(grad_map)
+    return ParamSet(block).flatten_grads(grad_map)
 
 
 def inner_loss(block, x, upstream):

@@ -3,15 +3,18 @@
 Sequential layers merge by inter-weight convolution: the composed kernel
 has extent K1 + K2 - 1 and tap (m, n) sums w2[.., a, b] * w1[.., m-a, n-b]
 over the second kernel's taps. The first kernel of a branch is merged in
-its native grouped layout; every later one is expanded to dense first.
-When either kernel is 1x1 (DBB's 1x1-kxk sequences, a 1x1 conv before a
-pooling or filter layer, a depthwise kernel before a pointwise one), every
-merged tap takes exactly one tap of each, so the merge is one batched GEMM
-over all taps of the wider kernel, written straight into the merged
-kernel. Only two kernels both wider than 1x1 (stacked kxk stems) loop over
-the second kernel's taps. The merge adjoint, _merge_backward, runs that tap
-loop backward (a 1x1 second kernel is one tap), except for a 1x1 first
-kernel before a wider one, whose gradients are one batched GEMM each.
+its native grouped layout; every later one is expanded to dense first, and
+the expansion dies with its merge. When either kernel is 1x1 (DBB's 1x1-kxk
+sequences, a 1x1 conv before a pooling or filter layer, a depthwise kernel
+before a pointwise one), every merged tap takes exactly one tap of each, so
+the merge is one batched GEMM over all taps of the wider kernel, written
+straight into the merged kernel. Only two kernels both wider than 1x1
+(stacked kxk stems) loop over the second kernel's taps. The merge adjoint,
+_merge_backward, takes both kernels native, so the fold's factors are the
+branch's own kernels, and batches over chunks of the middle channels that
+lie inside one group of each. It runs the merge's tap loop backward (a 1x1
+second kernel is one tap), except for a 1x1 first kernel before a wider
+one, whose gradients are one batched GEMM each.
 Parallel branches merge by center-aligned zero embedding and tap-wise
 summation, which requires odd extents. The squeeze trace and cost_report
 model the dense algebra (every grouped layer expanded, then merged),
@@ -27,6 +30,7 @@ excluded from the merge algebra and applied only to the final output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,38 +208,56 @@ def merge_sequential(w1, w2):
 
 
 def _merge_backward(w1, w2, gout):
-    """Adjoint of merge_sequential for a grouped w1 and a dense w2, given gout,
-    the dense merged kernel's gradient; dw1 comes in w1's native shape.
+    """Adjoint of merge_sequential for w1 and w2 in their native grouped
+    layouts, given gout, the dense merged kernel's gradient; dw1 and dw2 come
+    native, and no dense expansion of w2 is made.
 
-    For a 1x1 w1 and a wider w2, whose taps never overlap, gout regrouped
-    to (C2, G, C0 / G, k2h * k2w) holds every window of the merge, so each
-    gradient is one batched GEMM over all taps: dw1 over G, contracting C2
-    and w2's taps, and dw2 over (C2, G). Every other pair runs the merge's
-    tap loop backward: the window gout[:, :, a:a + k1h, b:b + k1w] of w2's tap
-    (a, b), as (G, C2, C0 / G * k1h * k1w), adds w2_tap^T @ window to dw1 and
-    gives dw2's tap as window @ w1^T, one GEMM each over G; a 1x1 w2 is one tap."""
-    g, cig, k1h, k1w = w1.groups, w1.in_channels_per_group, w1.kh, w1.kw
-    c2, cog, k2 = gout.shape[0], w1.out_channels // g, w2.kh * w2.kw
-    w1_rows = w1.data.reshape(g, cog, -1)
+    Both gradients batch over chunks of s = gcd(C1 / G1, C1 / G2) middle
+    channels (w1's outputs, w2's inputs), each inside one group of both
+    kernels, which read the rows of gout their w2 group writes and the
+    columns their w1 group reads: for a dense w2, one chunk per w1 group,
+    reading every row; for a channel-wise w2, one per channel, reading its
+    C2 / C1 rows. The chunks form a (u, i, r) grid, i a w2 group of the
+    superblock u of lcm(C1 / G1, C1 / G2) channels and r a chunk of that
+    group; when neither group size divides the other, each chunk's columns
+    are gathered.
+
+    A 1x1 w1 before a wider w2, whose taps never overlap, takes each gradient
+    in one batched GEMM over all taps. Every other pair runs the merge's tap
+    loop backward: w2's tap (a, b) reads the window gout[:, :, a:a + k1h,
+    b:b + k1w], adds w2_tap^T @ window to dw1 and gives dw2's tap as
+    window @ w1^T, one GEMM each over the chunks; a 1x1 w2 is one tap."""
+    c1, c2, k1h, k1w, k2 = w1.out_channels, gout.shape[0], w1.kh, w1.kw, w2.kh * w2.kw
+    cig1, cig2, cog2 = w1.in_channels_per_group, w2.in_channels_per_group, c2 // w2.groups
+    s = math.gcd(c1 // w1.groups, cig2)
+    a, b = c1 // w1.groups // s, cig2 // s  # coprime: chunks per w1 group, per w2 group
+    u = c1 // (a * b * s)
+    # d[u, i, o, j, p, ...] = gout[(u * a + i) * cog2 + o, (u * b + j) * cig1 + p, ...]
+    d = np.moveaxis(np.diagonal(gout.reshape((u, a, cog2, u, b, cig1) + gout.shape[2:]),
+                                axis1=0, axis2=3), -1, 0)
+    if a > 1 < b:  # chunk (i, r) reads w1 group (i * b + r) // a of its superblock, not r
+        d = np.take_along_axis(d, ((np.arange(a)[:, None] * b + np.arange(b)) // a).reshape(
+            1, a, 1, b, 1, 1, 1), axis=3)
+    w1_rows = w1.data.reshape(u, a, b, s, -1)
+    w2_taps = w2.data.reshape(u, a, cog2, b, s, k2).transpose(0, 1, 3, 2, 4, 5)
     if k1h * k1w == 1 < k2:
-        # win[o, g, p, (a, b)] = gout[o, g * cig + p, a, b]
-        win = gout.reshape(c2, g, cig, k2)
-        # dw1[g, c, p] = sum_{o, (a, b)} w2[o, g, c, (a, b)] * win[o, g, p, (a, b)]
-        # dw2[o, g, c, (a, b)] = sum_p w1[g, c, p] * win[o, g, p, (a, b)]
-        dw1 = np.matmul(w2.data.reshape(c2, g, cog, k2).transpose(1, 2, 0, 3).reshape(g, cog, -1),
-                        win.transpose(1, 0, 3, 2).reshape(g, c2 * k2, -1))
-        return dw1.reshape(w1.shape), np.matmul(w1_rows, win).reshape(w2.shape)
-    w2_taps = w2.data.reshape(c2, g, cog, k2)
+        win = d.reshape(u, a, cog2, b, cig1, k2)
+        # dw1[c, p] = sum_{o, (a, b)} w2[o, c, (a, b)] * win[o, p, (a, b)], per chunk
+        # dw2[o, c, (a, b)] = sum_p w1[c, p] * win[o, p, (a, b)], per chunk and row o
+        dw1 = np.matmul(w2_taps.transpose(0, 1, 2, 4, 3, 5).reshape(u, a, b, s, -1),
+                        win.transpose(0, 1, 3, 2, 5, 4).reshape(u, a, b, cog2 * k2, cig1))
+        dw2 = np.matmul(w1_rows.reshape(u, a, 1, b, s, cig1), win)
+        return dw1.reshape(w1.shape), dw2.reshape(w2.shape)
     dw1 = np.zeros(w1_rows.shape, dtype=np.result_type(w1.data, gout))
-    dw2 = np.empty((k2, c2, g, cog), dtype=dw1.dtype)  # taps first: each tap is one GEMM's out
-    gout_g = gout.reshape((c2, g, cig) + gout.shape[2:])
-    for t, (a, b) in enumerate(np.ndindex(w2.kh, w2.kw)):
-        # window[g, o, (p, i, j)] = gout[o, g * cig + p, a + i, b + j], a view for a 1x1 w2
-        window = gout_g[..., a:a + k1h, b:b + k1w].reshape(c2, g, -1).transpose(1, 0, 2)
-        dw1 += w2_taps[..., t].transpose(1, 2, 0) @ window
-        np.matmul(window, w1_rows.transpose(0, 2, 1), out=dw2[t].transpose(1, 0, 2))
+    dw2 = np.empty((k2, u, a, cog2, b, s), dtype=dw1.dtype)  # taps first: one GEMM's out each
+    for t, (ta, tb) in enumerate(np.ndindex(w2.kh, w2.kw)):
+        # window[u, i, r, o, (p, m, n)] = d[u, i, o, r, p, ta + m, tb + n], a view for a 1x1 w2
+        window = d[..., ta:ta + k1h, tb:tb + k1w].reshape(u, a, cog2, b, -1).transpose(
+            0, 1, 3, 2, 4)
+        dw1 += w2_taps[..., t].swapaxes(-1, -2) @ window
+        np.matmul(window, w1_rows.swapaxes(-1, -2), out=dw2[t].transpose(0, 1, 3, 2, 4))
         del window  # freed before the next tap's copy
-    return dw1.reshape(w1.shape), dw2.transpose(1, 2, 3, 0).reshape(w2.shape)
+    return dw1.reshape(w1.shape), np.moveaxis(dw2, 0, -1).reshape(w2.shape)
 
 
 def merge_parallel(kernels):
@@ -289,25 +311,24 @@ def _dense_shape(w):
 
 def _fold(branch, trace, folds):
     """Left-fold a branch's layers, scaling aside, into the dense kernel it
-    returns; folds receives the factors (the first layer in its native grouped
-    layout, see merge_sequential, every later one dense) and their prefix
-    products, the last expanded to dense. The trace records the dense algebra
-    all the same: every grouped layer is expanded, then merged."""
+    returns; folds receives its prefix products (the first layer in its native
+    grouped layout, see merge_sequential, then each merge), the last expanded
+    to dense. The factors are the branch's own native kernels, which
+    _merge_backward takes as they are: a later layer's dense expansion feeds
+    its merge alone. The trace records the dense algebra all the same: every
+    grouped layer is expanded, then merged."""
     k = branch.weights[0]
     if k.groups != 1:
         trace.append(TraceStep("as_dense", (k.shape,), _dense_shape(k), 0))
-    factors, prefix = [k], [k]
+    prefix = [k]
     for w in branch.weights[1:]:
-        dense = as_dense(w)
-        if dense is not w:
-            trace.append(TraceStep("as_dense", (w.shape,), dense.shape, 0))
-        merged = merge_sequential(prefix[-1], dense)
-        trace.append(TraceStep("merge_sequential", (_dense_shape(prefix[-1]), dense.shape),
-                               merged.shape, _seq_merge_mults(prefix[-1], dense)))
-        factors.append(dense)
-        prefix.append(merged)
+        if w.groups != 1:
+            trace.append(TraceStep("as_dense", (w.shape,), _dense_shape(w), 0))
+        prefix.append(merge_sequential(prefix[-1], as_dense(w)))
+        trace.append(TraceStep("merge_sequential", (_dense_shape(prefix[-2]), _dense_shape(w)),
+                               prefix[-1].shape, _seq_merge_mults(prefix[-2], w)))
     prefix[-1] = as_dense(prefix[-1])
-    folds.append((factors, prefix))
+    folds.append(prefix)
     return prefix[-1]
 
 

@@ -127,30 +127,34 @@ def merge_kernels_loop(w1, w2):
     return out
 
 
-def merge_backward_loop(w1, w2, gout, groups=1):
+def merge_backward_loop(w1, w2, gout, groups=1, groups2=1):
     """Both weight gradients of <gout, merge(w1, w2)> by literal summation.
 
-    w1: (C1, C0 // groups, K1h, K1w) grouped, w2: (C2, C1, K2h, K2w) dense,
-    gout: (C2, C0, K1h + K2h - 1, K1w + K2w - 1). Merged tap (i + a, j + b)
-    of input channel g * C0 // groups + p holds w2[q, c, a, b] * w1[c, p, i, j]
-    for every c of group g, so each gradient sums gout over the other factor.
+    w1: (C1, C0 // groups, K1h, K1w) and w2: (C2, C1 // groups2, K2h, K2w),
+    each grouped, gout: (C2, C0, K1h + K2h - 1, K1w + K2w - 1). Middle channel
+    c lies in w1's group g and in w2's group h, whose outputs q it feeds
+    through w2's input slot c - h * C1 // groups2. Merged tap (i + a, j + b)
+    of output q and input channel g * C0 // groups + p holds
+    w2[q, slot, a, b] * w1[c, p, i, j] summed over such c, so each gradient
+    sums gout over the other factor.
     """
     c1, cig, k1h, k1w = w1.shape
-    c2, _, k2h, k2w = w2.shape
-    cog = c1 // groups
+    c2, cig2, k2h, k2w = w2.shape
+    cog, cog2 = c1 // groups, c2 // groups2
     dw1 = np.zeros(w1.shape)
     dw2 = np.zeros(w2.shape)
     for c in range(c1):
-        g = c // cog
+        g, h = c // cog, c // cig2
+        slot = c - h * cig2
         for p in range(cig):
             for i in range(k1h):
                 for j in range(k1w):
-                    for q in range(c2):
+                    for q in range(h * cog2, (h + 1) * cog2):
                         for a in range(k2h):
                             for d in range(k2w):
                                 gv = gout[q, g * cig + p, i + a, j + d]
-                                dw1[c, p, i, j] += gv * w2[q, c, a, d]
-                                dw2[q, c, a, d] += gv * w1[c, p, i, j]
+                                dw1[c, p, i, j] += gv * w2[q, slot, a, d]
+                                dw2[q, slot, a, d] += gv * w1[c, p, i, j]
     return dw1, dw2
 
 

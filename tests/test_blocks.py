@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ from orepa import layers as L
 from orepa.blocks import PRESET_TABLE, PRESETS, RECIPES, SCALING_INIT, build_preset, linearize
 from orepa.blockspec import block_from_spec, validate_spec
 from orepa.dynamics import ParamSet
-from orepa.squeeze import BlockGraph, build_branch, squeeze_block
-from orepa.tensor import ShapeError
+from orepa.squeeze import BlockGraph, build_branch, expanded_forward, squeeze_block
+from orepa.tensor import ShapeError, Tensor
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,6 +32,56 @@ def test_scaling_init_defaults_golden():
     for b in block.branches:
         assert np.all(b.scaling == b.scaling[0])
         assert b.scaling.shape == (4,)
+
+
+# Each orepa3x3 branch's output std at init, unscaled, on a standard-normal
+# (2, C, 28, 28) input (seed 0 for both), under the default one-sided Kaiming
+# init (uniform on [0, bound]) and the symmetric one ([-bound, bound]; the
+# identity, pool and filter layers are the same under both). Each row lists
+# the branches from the largest std down.
+BRANCH_STD_AT_INIT = {
+    (16, "default"): {"1x1_kxk": 2.913, "1x1_filter": 2.076, "1x1": 1.050, "dw_pw": 0.978,
+                      "kxk": 0.959, "1x1_pool": 0.328},
+    (64, "default"): {"1x1_kxk": 5.740, "1x1_filter": 2.078, "dw_pw": 0.996, "1x1": 0.993,
+                      "kxk": 0.970, "1x1_pool": 0.325},
+    (128, "default"): {"1x1_kxk": 8.022, "1x1_filter": 2.059, "1x1": 1.004, "dw_pw": 0.962,
+                       "kxk": 0.946, "1x1_pool": 0.326},
+    (16, "symmetric"): {"1x1_filter": 2.076, "1x1": 1.040, "kxk": 0.980, "1x1_kxk": 0.934,
+                        "dw_pw": 0.930, "1x1_pool": 0.328},
+    (64, "symmetric"): {"1x1_filter": 2.078, "1x1": 1.001, "dw_pw": 0.990, "1x1_kxk": 0.978,
+                        "kxk": 0.974, "1x1_pool": 0.325},
+    (128, "symmetric"): {"1x1_filter": 2.059, "1x1": 1.001, "dw_pw": 0.985, "1x1_kxk": 0.977,
+                         "kxk": 0.974, "1x1_pool": 0.326},
+}
+
+
+@pytest.mark.parametrize("channels,init", BRANCH_STD_AT_INIT)
+def test_branch_output_std_at_init(channels, init):
+    # PAPER.md sets SCALING_INIT to balance the branches' outputs, first
+    # because a 1x1 conv's output variance is "generally much smaller" than
+    # a kxk conv's. At init here it is not: under both inits the 1x1 branch's
+    # std is no smaller than the kxk branch's, both near 1, since fan-in init
+    # with a zero-mean input gives every product the same second moment. The
+    # one-sided init correlates the 1x1_kxk branch's middle channels, so its
+    # std grows about as sqrt(C) and it stays the largest after its 0.5
+    # scaling.
+    block = build_preset("orepa3x3", channels, channels, 3, seed=0)
+    if init == "symmetric":
+        rng = np.random.default_rng(0)
+        block = replace(block, branches=[
+            build_branch([replace(s, init=replace(s.init, symmetric=True)) for s in b.layers],
+                         rng, name=b.name) for b in block.branches])
+    x = Tensor(np.random.default_rng(0).standard_normal((2, channels, 28, 28)))
+    std = {b.name: float(np.std(expanded_forward(BlockGraph([replace(b, scaling=None)]), x).data))
+           for b in block.branches}
+    want = BRANCH_STD_AT_INIT[(channels, init)]
+    assert std == pytest.approx(want, abs=5e-4)
+    assert sorted(std, key=std.get, reverse=True) == list(want)
+    assert std["1x1"] > std["kxk"]
+    scaled = {name: v * SCALING_INIT[name] for name, v in std.items()}
+    top = "1x1_kxk" if init == "default" else "1x1"
+    assert sorted(scaled, key=scaled.get, reverse=True)[0] == top
+    assert sorted(scaled, key=scaled.get)[:3] == ["1x1_filter", "1x1_pool", "kxk"]
 
 
 def test_orepa1x1_squeezes_to_1x1():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,26 +277,34 @@ def test_offline_backward_allocation_bound():
 
 def test_online_backward_allocation_bound():
     # orepavgg at expansion 8, 128 channels, 8x8, batch 2, f64: the measured
-    # peak, 13385312 B, plus 2%. A branch's fold dies once its walk is done;
-    # keeping every fold to the end (16711464 B) exceeds it
+    # peak, 10890608 B, plus 2%. A branch's fold dies once its walk is done,
+    # and the merge adjoint takes each later layer in its native layout:
+    # keeping every fold to the end (14355192 B), or holding the pool and
+    # filter layers' dense expansions to their walk (13388784 B), exceeds it
     block = build_preset("orepavgg", 128, 128, 3, seed=0, expansion=8)
     rng = np.random.default_rng(0)
     x = rand_input(rng, block, hw=(8, 8), batch=2)
     g = Tensor(rng.standard_normal((2, 128, 8, 8)))
-    assert peak_bytes(lambda: backward_through_squeeze(block, x, g)) <= 1.02 * 13385312
+    assert peak_bytes(lambda: backward_through_squeeze(block, x, g)) <= 1.02 * 10890608
 
 
 @pytest.mark.parametrize("w1_shape,groups,w2_shape,measured", [
     ((32, 32, 5, 5), 1, (32, 32, 3, 3), 689656),
-    ((64, 16, 3, 3), 4, (48, 64, 3, 3), 591352)])
+    ((64, 16, 3, 3), 4, (48, 64, 3, 3), 591352),
+    ((128, 128, 1, 1), 1, (128, 1, 3, 3), 141712)])
 def test_merge_backward_allocation_bound(w1_shape, groups, w2_shape, measured):
-    # the measured peak plus 2%: dw1, dw2, one tap window of gout and one
-    # dw1-sized product (688128 and 589824 bytes) fit under it; a second
-    # window alive at once, 204800 or 221184 bytes, exceeds it
+    # the measured peak plus 2%; w2's groups are C1 over its input channels
+    # per group. Dense w2: dw1, dw2, one tap window of gout and one dw1-sized
+    # product (688128 and 589824 bytes) fit under it; a second window alive
+    # at once, 204800 or 221184 bytes, exceeds it. The third pair has the
+    # shapes of identity1x1 then avgpool, and w2 stays channel-wise: dw1 and
+    # the native dw2 (140288 bytes) fit, and no room is left for one
+    # (128, 128, 3, 3) f64 buffer (1179648 bytes), such as w2's dense
+    # expansion or its dense gradient
     rng = np.random.default_rng(0)
     w1 = KernelTensor(rng.standard_normal(w1_shape), groups=groups)
-    w2 = KernelTensor(rng.standard_normal(w2_shape))
-    gout = rng.standard_normal(merge_sequential(w1, w2).shape)
+    w2 = KernelTensor(rng.standard_normal(w2_shape), groups=w1_shape[0] // w2_shape[1])
+    gout = rng.standard_normal(merge_sequential(w1, L.as_dense(w2)).shape)
     assert peak_bytes(lambda: _merge_backward(w1, w2, gout)) <= 1.02 * measured
 
 
@@ -358,29 +368,43 @@ def test_merge_adjoint_dot_product_identity(k1, k2):
         np.testing.assert_allclose(dw2, dense_dw2, rtol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(groups=st.integers(1, 6), cig=st.integers(1, 4), cog=st.integers(1, 5),
        c2=st.integers(1, 4), k1=st.tuples(st.integers(1, 3), st.integers(1, 4)),
        k2=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-       one_by_one=st.sampled_from(["w1", "w2", "neither"]), seed=st.integers(0, 2 ** 16))
-def test_merge_backward_matches_loop_oracle(groups, cig, cog, c2, k1, k2, one_by_one, seed):
+       one_by_one=st.sampled_from(["w1", "w2", "neither"]),
+       w2_layout=st.sampled_from(["dense", "channelwise", "grouped", "misaligned"]),
+       seed=st.integers(0, 2 ** 16))
+def test_merge_backward_matches_loop_oracle(groups, cig, cog, c2, k1, k2, one_by_one, w2_layout,
+                                            seed):
     # "w1" forces a 1x1 w1, which takes the batched GEMM over all of w2's taps
     # (the tap loop's one tap if w2 is drawn 1x1 too); "w2" forces a 1x1 w2, the
     # tap loop's one tap; "neither" keeps the drawn extents, which mostly take
-    # the tap loop over w2's taps; a grouped w1 merges in its native layout
-    # into a dense kernel
+    # the tap loop over w2's taps. w2 is dense, channel-wise with c2 (cut to
+    # 1 or 2) outputs per channel, grouped in 2 groups of more than one input
+    # channel, which splits w1's groups when they do not line up, or the
+    # misaligned 3 -> 2 chain at width 6; both kernels stay in their native
+    # layouts, and the merge runs on w2's dense expansion
     k1 = (1, 1) if one_by_one == "w1" else k1
     k2 = (1, 1) if one_by_one == "w2" else k2
+    if w2_layout == "grouped":  # C1 a multiple of 4, so each of 2 groups reads 2 or more
+        cog = cog * 4 // math.gcd(groups * cog, 4)
+    if w2_layout == "misaligned":
+        groups, cog = 3, 2
+    c1 = groups * cog
+    groups2, c2 = {"dense": (1, c2), "channelwise": (c1, c1 * (1 + c2 % 2)),
+                   "grouped": (2, 2 * c2), "misaligned": (2, 2 * c2)}[w2_layout]
     rng = np.random.default_rng(seed)
-    w1 = KernelTensor(rng.uniform(-1, 1, size=(groups * cog, cig) + k1), groups=groups)
-    w2 = KernelTensor(rng.uniform(-1, 1, size=(c2, groups * cog) + k2))
-    merged = merge_sequential(w1, w2)
+    w1 = KernelTensor(rng.uniform(-1, 1, size=(c1, cig) + k1), groups=groups)
+    w2 = KernelTensor(rng.uniform(-1, 1, size=(c2, c1 // groups2) + k2), groups=groups2)
+    merged = merge_sequential(w1, L.as_dense(w2))
     assert merged.groups == 1
     merged = merged.data
-    np.testing.assert_allclose(merged, merge_kernels_loop(L.as_dense(w1).data, w2.data),
+    np.testing.assert_allclose(merged, merge_kernels_loop(L.as_dense(w1).data,
+                                                          L.as_dense(w2).data),
                                rtol=1e-12, atol=1e-14)
     gout = rng.uniform(-1, 1, size=merged.shape)
-    want1, want2 = merge_backward_loop(w1.data, w2.data, gout, groups)
+    want1, want2 = merge_backward_loop(w1.data, w2.data, gout, groups, groups2)
     # <gout, merge(w1, w2)> = <dw1, w1> = <dw2, w2>, relative to the size of
     # the summed terms so that a cancelling sum cannot fail it
     scale = np.vdot(np.abs(gout), np.abs(merged))
@@ -392,15 +416,19 @@ def test_merge_backward_matches_loop_oracle(groups, cig, cog, c2, k1, k2, one_by
         assert dw1.dtype == dw2.dtype == a.data.dtype
         np.testing.assert_allclose(dw1, want1, rtol=rtol, atol=rtol * np.abs(want1).max())
         np.testing.assert_allclose(dw2, want2, rtol=rtol, atol=rtol * np.abs(want2).max())
-        lhs = np.vdot(g32.astype(np.float64), merge_sequential(a, b).data.astype(np.float64))
+        lhs = np.vdot(g32.astype(np.float64),
+                      merge_sequential(a, L.as_dense(b)).data.astype(np.float64))
         for dw, w in ((dw1, a), (dw2, b)):
             got = np.vdot(dw.astype(np.float64), w.data.astype(np.float64))
             assert abs(got - lhs) <= rtol * scale
-    # a grouped w1's native gradient is its dense gradient's diagonal blocks
-    dense_dw1, dense_dw2 = _merge_backward(L.as_dense(w1), w2, gout)
-    np.testing.assert_allclose(_dense_grad_to_native(dense_dw1, w1), want1, rtol=1e-12,
-                               atol=1e-12 * np.abs(want1).max())
-    np.testing.assert_allclose(dense_dw2, want2, rtol=1e-12, atol=1e-12 * np.abs(want2).max())
+    # each native gradient is the diagonal blocks of its dense expansion's:
+    # with w2 expanded, and with both expanded
+    dw1, dw2 = _merge_backward(w1, w2, gout)
+    for x1, x2 in (w1, L.as_dense(w2)), (L.as_dense(w1), L.as_dense(w2)):
+        dense_dw1, dense_dw2 = _merge_backward(x1, x2, gout)
+        for native, dense, w in ((dw1, dense_dw1, w1), (dw2, dense_dw2, w2)):
+            assert np.max(np.abs(_dense_grad_to_native(dense, w) - native)) <= \
+                1e-12 * np.abs(native).max()
 
 
 # --------------------------------------------------------------------------

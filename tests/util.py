@@ -38,8 +38,10 @@ def _random_layer(src, w_in, w_out, ks):
     if w_in == w_out:
         kind = str(src.pick(src.square_kinds))
     else:
-        kind = str(src.pick(["conv", "pointwise"]))
+        kind = str(src.pick(src.wider_kinds if w_out % w_in == 0 else ["conv", "pointwise"]))
     obj = {"kind": kind, "out_ch": w_out, "k": int(src.pick(ks))}
+    if kind == "depthwise":
+        obj["expansion"] = w_out // w_in
     if kind == "gconv":
         g = int(src.pick(_divisors(w_in)))
         obj.update(kind="conv", groups=g if w_out % g == 0 else 1)
@@ -49,13 +51,14 @@ def _random_layer(src, w_in, w_out, ks):
 
 
 def _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_ch, ks):
-    """A block drawn from src: ints(lo, hi), width(max_ch, prev) and
+    """A block drawn from src: ints(lo, hi), width(max_ch, prev, out) and
     pick(options) choose its structure, from square_kinds where a layer
-    keeps its width, value() a scaling layer's value,
+    keeps its width and from wider_kinds where it multiplies it (conv or
+    pointwise otherwise), value() a scaling layer's value,
     scaling(out_ch) a branch scaling or None; weight_rng materializes the
     kernels."""
     in_ch = src.width(max_ch, None)
-    out_ch = src.width(max_ch, in_ch)
+    out_ch = src.width(max_ch, in_ch, out=True)
     branches = []
     for bi in range(src.ints(1, max_branches)):
         widths = [in_ch]
@@ -75,8 +78,8 @@ def make_random_block(seed, max_branches=6, max_depth=3, max_ch=8, ks=(1, 3, 5),
     rng = np.random.default_rng(seed)
     ints = lambda lo, hi: int(rng.integers(lo, hi + 1))  # noqa: E731
     src = SimpleNamespace(
-        ints=ints, width=lambda max_ch, prev: ints(1, max_ch), pick=rng.choice,
-        square_kinds=SQUARE_KINDS,
+        ints=ints, width=lambda max_ch, prev, out=False: ints(1, max_ch), pick=rng.choice,
+        square_kinds=SQUARE_KINDS, wider_kinds=["conv", "pointwise"],
         value=lambda: float(rng.uniform(0.3, 1.2)),
         scaling=lambda c: (rng.uniform(0.3, 1.2, size=c)
                            if with_scaling and rng.random() < 0.8 else None))
@@ -90,17 +93,33 @@ def block_graphs(draw, max_branches=4, max_depth=3, max_ch=6, ks=(1, 2, 3, 4, 5)
     and without branch scalings. A width often repeats the one before it,
     so that the channel-wise kinds, which keep their width, get drawn. Some
     blocks hold only grouped convs at one composite width, 4 or 6, so that
-    groups strictly between 1 and the width come up often: a grouped first
-    layer merges in its native layout (merge_sequential), and a grouped
-    later layer gets its gradient from its dense expansion's."""
-    composite = draw(st.sampled_from([None, None] + [w for w in (4, 6) if w <= max_ch]))
+    groups strictly between 1 and the width come up often, groups 3 then 2
+    at width 6 among them; others keep 2 or 3 channels until each branch's
+    last layer, a depthwise one with a channel multiplier of 2 or 3. Every
+    later layer takes its merge adjoint in its native layout, chunked by its
+    groups and the layer before's (squeeze._merge_backward), so these draws
+    reach every chunking: a dense layer, a channel-wise one with and without
+    a multiplier, and grouped ones, aligned with the layer before or not."""
+    mode = draw(st.sampled_from([None, None, "multiplier"] + [w for w in (4, 6) if w <= max_ch]))
+    composite = mode if isinstance(mode, int) else None
     weight_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def width(max_ch, prev, out=False):
+        if composite:
+            return composite
+        if mode == "multiplier":  # 2 or 3 channels, kept until each branch's last layer
+            if prev is None:
+                return draw(st.sampled_from([2, 3]))
+            return draw(st.sampled_from([m * prev for m in (2, 3) if m * prev <= max_ch])) \
+                if out else prev
+        return draw(st.integers(1, max_ch) if prev is None else
+                    st.just(prev) | st.integers(1, max_ch))
+
     src = SimpleNamespace(
-        ints=lambda lo, hi: draw(st.integers(lo, hi)),
-        width=lambda max_ch, prev: composite or draw(
-            st.integers(1, max_ch) if prev is None else st.just(prev) | st.integers(1, max_ch)),
+        ints=lambda lo, hi: draw(st.integers(lo, hi)), width=width,
         pick=lambda options: draw(st.sampled_from(list(options))),
         square_kinds=SQUARE_KINDS if composite is None else ["gconv"],
+        wider_kinds=["depthwise"] if mode == "multiplier" else ["conv", "pointwise"],
         value=lambda: draw(st.floats(0.3, 1.2)),
         # from weight_rng: drawing c floats from hypothesis one by one is slow
         scaling=lambda c: weight_rng.uniform(0.3, 1.2, size=c) if draw(st.booleans()) else None)
