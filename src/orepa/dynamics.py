@@ -117,7 +117,7 @@ def backward_through_squeeze(block, x, upstream):
     runs. Returns a flat vector in ParamSet order."""
     x, upstream = _route_inputs(block, x, upstream)
     folds = []
-    w_e = _squeeze(block, [], folds)
+    w_e = _squeeze(block, folds)
     g_e = _conv_grad_w(x, upstream, w_e, block.eval_geometry())
     del w_e  # only its extents were read
 

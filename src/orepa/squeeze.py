@@ -17,8 +17,8 @@ second kernel is one tap), except for a 1x1 first kernel before a wider
 one, whose gradients are one batched GEMM each.
 Parallel branches merge by center-aligned zero embedding and tap-wise
 summation, which requires odd extents. The squeeze trace and cost_report
-model the dense algebra (every grouped layer expanded, then merged),
-whatever layout the merges actually run in.
+book the dense algebra from kernel shapes alone (see _trace), whatever
+layout the merges actually run in.
 
 Evaluation convention (load-bearing for exact equality): the input is
 zero-padded once by (K_e - 1) / 2 per side, where K_e is the block's
@@ -140,10 +140,6 @@ class TraceStep:
     inputs: tuple
     output: tuple
     mults: int
-
-    @property
-    def buffer_elems(self):
-        return int(np.prod(self.output))
 
     def to_dict(self, step):
         return {"step": step, "op": self.op,
@@ -298,74 +294,78 @@ def apply_branch_scaling(w, gamma):
     return KernelTensor(w.data * gamma[:, None, None, None], groups=w.groups)
 
 
-def _seq_merge_mults(w1, w2):
-    # one multiply per (w2 tap) x (w1 element) pair of the dense algebra,
-    # whatever w1's groups
-    return (w2.out_channels * w2.kh * w2.kw *
-            w1.out_channels * w1.in_channels * w1.kh * w1.kw)
-
-
-def _dense_shape(w):
-    return (w.out_channels, w.in_channels, w.kh, w.kw)
-
-
-def _fold(branch, trace, folds):
+def _fold(branch, folds):
     """Left-fold a branch's layers, scaling aside, into the dense kernel it
     returns; folds receives its prefix products (the first layer in its native
     grouped layout, see merge_sequential, then each merge), the last expanded
     to dense. The factors are the branch's own native kernels, which
     _merge_backward takes as they are: a later layer's dense expansion feeds
-    its merge alone. The trace records the dense algebra all the same: every
-    grouped layer is expanded, then merged."""
-    k = branch.weights[0]
-    if k.groups != 1:
-        trace.append(TraceStep("as_dense", (k.shape,), _dense_shape(k), 0))
-    prefix = [k]
+    its merge alone."""
+    prefix = [branch.weights[0]]
     for w in branch.weights[1:]:
-        if w.groups != 1:
-            trace.append(TraceStep("as_dense", (w.shape,), _dense_shape(w), 0))
         prefix.append(merge_sequential(prefix[-1], as_dense(w)))
-        trace.append(TraceStep("merge_sequential", (_dense_shape(prefix[-2]), _dense_shape(w)),
-                               prefix[-1].shape, _seq_merge_mults(prefix[-2], w)))
     prefix[-1] = as_dense(prefix[-1])
     folds.append(prefix)
     return prefix[-1]
 
 
-def _squeeze(block, trace, folds=None):
+def _squeeze(block, folds=None):
     """W_e: each branch's fold (see _fold), scaled, then merged center-aligned
     by merge_parallel, which reads one scaled fold at a time."""
-    shapes = []
-
     def kernels():
         for branch in block.branches:
             # a fold not kept is freed before its scaled copy is made
-            k = _fold(branch, trace, [] if folds is None else folds)
+            k = _fold(branch, [] if folds is None else folds)
             if branch.scaling is not None:
                 k = apply_branch_scaling(k, branch.scaling)
-                trace.append(TraceStep("scale", (k.shape, branch.scaling.shape), k.shape,
-                                       k.data.size))
-            shapes.append(k.shape)
             yield k
             del k  # added to the running sum; freed before the next fold
 
     if len(block.branches) == 1:
         return next(kernels())
-    w_e = merge_parallel(kernels())
-    trace.append(TraceStep("merge_parallel", tuple(shapes), w_e.shape, 0))
-    return w_e
+    return merge_parallel(kernels())
+
+
+def _trace(block):
+    """The squeeze's dense algebra, walked over kernel shapes alone: per
+    branch, each grouped layer expanded (as_dense), each later layer merged
+    into the dense fold before it at one multiply per (its tap) x (fold
+    element) pair, then the scaling at one per fold element; two or more
+    branches end in merge_parallel. _fold runs cheaper merges than booked."""
+    trace, folds = [], []
+    for branch in block.branches:
+        fold = None
+        for w in branch.weights:
+            dense = (w.out_channels, w.in_channels, w.kh, w.kw)
+            if w.groups != 1:
+                trace.append(TraceStep("as_dense", (w.shape,), dense, 0))
+            if fold is not None:
+                merged = (w.out_channels, fold[1], fold[2] + w.kh - 1, fold[3] + w.kw - 1)
+                trace.append(TraceStep("merge_sequential", (fold, dense), merged,
+                                       w.out_channels * w.kh * w.kw * math.prod(fold)))
+            fold = dense if fold is None else merged
+        if branch.scaling is not None:
+            trace.append(TraceStep("scale", (fold, branch.scaling.shape), fold, math.prod(fold)))
+        folds.append(fold)
+    if len(folds) > 1:
+        trace.append(TraceStep("merge_parallel", tuple(folds),
+                               (block.out_ch, block.in_ch) + block.effective_k, 0))
+    return trace
 
 
 def squeeze_branch(branch, trace=None):
-    """A branch's fold (see _fold) as one dense kernel, then scaled."""
-    return _squeeze(BlockGraph([branch]), [] if trace is None else trace)
+    """A branch's fold (see _fold) as one dense kernel, then scaled; a given
+    trace list is extended by its _trace steps."""
+    kernel = _squeeze(BlockGraph([branch]))
+    if trace is not None:
+        trace.extend(_trace(BlockGraph([branch])))
+    return kernel
 
 
 def squeeze_block(block):
-    """Fold every branch, then merge branches center-aligned."""
-    trace = []
-    kernel = _squeeze(block, trace)
-    return SqueezeResult(kernel=kernel, effective_k=(kernel.kh, kernel.kw), trace=trace)
+    """Fold every branch, then merge branches center-aligned; see _trace."""
+    kernel = _squeeze(block)
+    return SqueezeResult(kernel=kernel, effective_k=(kernel.kh, kernel.kw), trace=_trace(block))
 
 
 def check_center_alignable(block):
@@ -426,8 +426,8 @@ def cost_report(block, feature_hw, batch):
     expanded block (layer outputs and scaled branch outputs) except the
     block's final output, plus per-layer convolution multiplies at the
     full H x W resolution. Online counts the kernel-space buffers and
-    multiplies recorded in the squeeze trace, plus the single output
-    convolution. No wall clock is involved.
+    multiplies _trace books from kernel shapes, plus the single output
+    convolution. No kernel or wall clock is involved.
     """
     h, w = feature_hw
     h_out, w_out = _output_hw(block, feature_hw)
@@ -446,10 +446,11 @@ def cost_report(block, feature_hw, batch):
         # the single branch's last map is the block output, not an extra buffer
         off_buf -= batch * block.out_ch * h * w
 
-    result = squeeze_block(block)
-    on_buf = sum(step.buffer_elems for step in result.trace)
-    on_mults = sum(step.mults for step in result.trace)
-    keh, kew = result.effective_k
+    check_center_alignable(block)
+    trace = _trace(block)
+    on_buf = sum(math.prod(step.output) for step in trace)
+    on_mults = sum(step.mults for step in trace)
+    keh, kew = block.effective_k
     on_mults += batch * h_out * w_out * block.out_ch * block.in_ch * keh * kew
 
     return {
