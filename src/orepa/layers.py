@@ -164,7 +164,7 @@ def materialize(spec, rng, dtype="f64"):
         data = np.full(spec.kernel_shape, float(spec.init.value))
     elif spec.init.kind == "avgpool":
         data = np.full(spec.kernel_shape, 1.0 / (kh * kw))
-    elif spec.init.kind == "dct":
+    else:  # "dct", the one kind left: InitRule refuses every other
         c_idx = np.arange(co)
         half = co // 2
         a_idx = (np.arange(kh) + 0.5) * math.pi / kh
@@ -173,8 +173,6 @@ def materialize(spec, rng, dtype="f64"):
         col_part = np.cos(np.outer(c_idx - half + 1, d_idx))[:, None, :]
         data = np.where((c_idx < half)[:, None, None], row_part, col_part)[:, None, :, :]
         data = np.broadcast_to(data, spec.kernel_shape).copy()
-    else:  # pragma: no cover
-        raise ValueError(spec.init.kind)
     return KernelTensor(data.astype(dt), groups=g)
 
 

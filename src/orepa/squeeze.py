@@ -312,6 +312,7 @@ def _fold(branch, folds):
 def _squeeze(block, folds=None):
     """W_e: each branch's fold (see _fold), scaled, then merged center-aligned
     by merge_parallel, which reads one scaled fold at a time."""
+
     def kernels():
         for branch in block.branches:
             # a fold not kept is freed before its scaled copy is made
@@ -331,7 +332,7 @@ def _trace(block):
     branch, each grouped layer expanded (as_dense), each later layer merged
     into the dense fold before it at one multiply per (its tap) x (fold
     element) pair, then the scaling at one per fold element; two or more
-    branches end in merge_parallel. _fold runs cheaper merges than booked."""
+    branches end in merge_parallel. _fold merges grouped layers natively."""
     trace, folds = [], []
     for branch in block.branches:
         fold = None
@@ -356,10 +357,9 @@ def _trace(block):
 def squeeze_branch(branch, trace=None):
     """A branch's fold (see _fold) as one dense kernel, then scaled; a given
     trace list is extended by its _trace steps."""
-    kernel = _squeeze(BlockGraph([branch]))
     if trace is not None:
         trace.extend(_trace(BlockGraph([branch])))
-    return kernel
+    return _squeeze(BlockGraph([branch]))
 
 
 def squeeze_block(block):

@@ -9,9 +9,9 @@ import pytest
 from orepa import layers as L
 from orepa.blocks import PRESET_TABLE, PRESETS, RECIPES, SCALING_INIT, build_preset, linearize
 from orepa.blockspec import block_from_spec, validate_spec
-from orepa.dynamics import ParamSet
+from orepa.dynamics import OptimizerConfig, ParamSet, train_toy
 from orepa.squeeze import BlockGraph, build_branch, expanded_forward, squeeze_block
-from orepa.tensor import ShapeError, Tensor
+from orepa.tensor import KernelTensor, ShapeError, Tensor
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +82,47 @@ def test_branch_output_std_at_init(channels, init):
     top = "1x1_kxk" if init == "default" else "1x1"
     assert sorted(scaled, key=scaled.get, reverse=True)[0] == top
     assert sorted(scaled, key=scaled.get)[:3] == ["1x1_filter", "1x1_pool", "kxk"]
+
+
+def _branch_std_in_training(scalings, steps=(0, 5, 20, 50, 100)):
+    """Each orepa3x3 branch's scaled output std (16 channels, seed 0) on a
+    standard-normal (2, 16, 28, 28) input, at each of steps of an online
+    train_toy run of 100 steps at eta 0.05, fitting the target orepa
+    train-toy draws for seed 0."""
+    block = build_preset("orepa3x3", 16, 16, 3, seed=0)
+    if scalings == "ones":
+        for b in block.branches:
+            b.scaling = np.ones(16)
+    ps = ParamSet(block)
+    params = [ps.get_flat()]
+    target = KernelTensor(np.random.default_rng(1).standard_normal((16, 16, 3, 3)) * 0.2)
+    params += train_toy(block, target, 100, OptimizerConfig(eta=0.05), mode="online",
+                        record_params=True)["params"]
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 16, 28, 28)))
+    std = {}
+    for step in steps:
+        ps.set_flat(params[step])
+        std[step] = {b.name: float(np.std(expanded_forward(BlockGraph([b]), x).data))
+                     for b in block.branches}
+    return std
+
+
+def test_branch_output_std_in_training():
+    # PAPER.md's third reason lowers the pool and filter branches' scalings:
+    # their weights settle early and would crowd out the other branches.
+    # Under all-ones scalings, 1x1_filter is the largest branch from step 5
+    # on. Under SCALING_INIT, the 0.0-scaled 1x1_filter does not stay the
+    # smallest: it grows past 1x1_pool and kxk between steps 20 and 50.
+    ones = _branch_std_in_training("ones")
+    assert max(ones[0], key=ones[0].get) == "1x1_kxk"
+    for step in (5, 20, 50, 100):
+        assert max(ones[step], key=ones[step].get) == "1x1_filter"
+    paper = _branch_std_in_training("SCALING_INIT")
+    assert paper[0]["1x1_filter"] == 0.0
+    assert min(paper[20], key=paper[20].get) == "1x1_filter"
+    for step in (50, 100):
+        assert paper[step]["1x1_filter"] > max(paper[step]["1x1_pool"], paper[step]["kxk"])
+    assert paper[100]["1x1_filter"] > paper[50]["1x1_filter"] > paper[20]["1x1_filter"]
 
 
 def test_orepa1x1_squeezes_to_1x1():

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import struct
 import subprocess
@@ -10,11 +12,11 @@ import pytest
 
 from orepa import layers as L
 from orepa.blockspec import block_from_spec, load_spec, save_checkpoint
-from orepa.cli import main
+from orepa.cli import _finite_or_null, main
 from orepa.okt import read_okt, write_okt
 from orepa.tensor import KernelTensor, Tensor
 
-from util import okt_bytes
+from util import check_edge, okt_bytes
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,6 +25,30 @@ SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "blockspec-1.json"
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _exit_and_stderr(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        return run(args), err.getvalue()
+
+
+def _train_toy_momentum(m):
+    return lambda: _exit_and_stderr(["train-toy", DATA / "orepa3x3.json", "--momentum", m])
+
+
+@pytest.mark.parametrize("call,want", [
+    (_train_toy_momentum("1.5"), (2, "error: momentum must be in [0, 1)\n")),
+    (_train_toy_momentum("nan"), (2, "error: momentum must be in [0, 1)\n")),
+    (_train_toy_momentum("-0.1"), (2, "error: momentum must be in [0, 1)\n")),
+    (lambda: _finite_or_null(np.float32(0.5)), 0.5),
+    (lambda: _finite_or_null(np.int64(3)), 3),
+    (lambda: _finite_or_null(np.bool_(True)), True),
+    (lambda: _finite_or_null(np.float32("nan")), None),
+], ids=["momentum_1.5", "momentum_nan", "momentum_negative", "float32", "int64", "bool_",
+        "float32_nan"])
+def test_documented_edges(call, want):
+    check_edge(call, want)
 
 
 def test_squeeze_deepstem_prints_effective_kernel(tmp_path, capsys):

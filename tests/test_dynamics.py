@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orepa import layers as L
@@ -23,13 +23,39 @@ from orepa.tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, _conv_
 
 from oracles import (branch_scaling_grad_loop, conv2d_loop, merge_backward_loop,
                      merge_kernels_loop)
-from util import (block_graphs, fd_grads_via_expanded, make_random_block, peak_bytes,
-                  rand_input)
+from util import (block_graphs, check_edge, fd_grads_via_expanded, make_random_block,
+                  peak_bytes, rand_input)
 
 
 # --------------------------------------------------------------------------
 # Parameter flattening
 # --------------------------------------------------------------------------
+
+def _zero_gamma_report():
+    """probe_branchwise_gamma with every gamma at 0: no scaling energy to
+    share, so the reference pair falls back to (1, sum of W)."""
+    rep = probe_branchwise_gamma([(0.0, np.array([1.0, 2.0])), (0.0, np.array([0.0, -1.0]))],
+                                 np.ones(2), 1.0, 0.5)
+    return (rep.residual_norm, rep.residual_ratio, rep.first_order_diff,
+            rep.details["reference"].tolist(), rep.details["observed"].tolist())
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: ParamSet(build_preset("orepa3x3", 2, 2, 3)).set_flat(np.zeros(3)),
+     ShapeError("flat params", (122,), (3,))),
+    (lambda: probe_shared_gamma(np.ones(4), 0.5, np.ones(4), 1.0, 3, 0.1, parts=[np.ones(4)]),
+     ShapeError("parts", 3, 1)),
+    (lambda: OptimizerConfig(eta=0.1, momentum_mode="x"),
+     ValueError("momentum_mode must be 'scaled' or 'standard'")),
+    (lambda: train_toy(build_preset("orepa3x3", 2, 2, 3), None, 1, OptimizerConfig(eta=0.1),
+                       mode="x"),
+     ValueError("mode must be 'online' or 'offline'")),
+    # the pair (1, [1, 1]) steps to (0, [0.5, 0.5]): W_e changes by [-1, -1]
+    (_zero_gamma_report, (0.0, None, 2.0, [-1.0, -1.0], [-1.5, -3.5])),
+], ids=["flat_length", "parts_count", "momentum_mode", "train_mode", "zero_gammas"])
+def test_documented_edges(call, want):
+    check_edge(call, want)
+
 
 def test_paramset_round_trip():
     block = build_preset("orepa3x3", 2, 3, 3, seed=1)
@@ -98,9 +124,21 @@ def test_zero_upstream_zero_grads():
     assert np.all(backward_through_expanded(block, x, g) == 0.0)
 
 
+def _misaligned_block(k1, k2, dtype):
+    """Width 6, a branch of groups 3 then 2 and one of groups 2 then 3:
+    neither group size divides the other, so _merge_backward gathers each
+    chunk's columns."""
+    rng = np.random.default_rng(0)
+    return BlockGraph([build_branch([L.LayerSpec("conv", 6, 6, k=k1, groups=g1),
+                                     L.LayerSpec("conv", 6, 6, k=k2, groups=g2)], rng, dtype=dtype)
+                       for g1, g2 in ((3, 2), (2, 3))])
+
+
 @settings(max_examples=100, deadline=None)
 @given(block=block_graphs(), hw=st.tuples(st.integers(3, 8), st.integers(3, 8)),
        seed=st.integers(0, 2 ** 16))
+@example(block=_misaligned_block(1, 3, "f64"), hw=(5, 6), seed=0)  # the batched-GEMM regime
+@example(block=_misaligned_block(3, 1, "f32"), hw=(4, 4), seed=1)  # the tap loop
 def test_gradient_routes_agree_property(block, hw, seed):
     rng = np.random.default_rng(seed)
     x = rand_input(rng, block, hw=hw, batch=2)

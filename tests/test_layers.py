@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from orepa import layers as L
-from orepa.tensor import ConvGeometry, KernelTensor, Tensor, conv2d_direct, scale_by_channel
+from orepa.tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, conv2d_direct,
+                          scale_by_channel)
 
 from oracles import conv2d_loop, freq_filter_loop
+from util import check_edge
 
 
 def test_avgpool_taps():
@@ -134,6 +136,16 @@ def test_kind_validation():
         L.LayerSpec("nonsense", 1, 1)
     with pytest.raises(Exception):
         L.LayerSpec("conv", 4, 6, k=3, groups=4)  # out_ch not divisible
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: L.InitRule("foo"), ValueError("unknown init kind 'foo'")),
+    (lambda: L.InitRule(theta=0), ValueError("theta must be > 0")),
+    (lambda: L.LayerSpec("depthwise", 2, 5, expansion=2), ShapeError("out_ch", 4, 5)),
+    (lambda: L.LayerSpec("pointwise", 2, 2, k=3), ShapeError("k", 1, 3)),
+], ids=["unknown_init", "zero_theta", "depthwise_out_ch", "pointwise_k"])
+def test_documented_edges(call, want):
+    check_edge(call, want)
 
 
 def test_trainable_defaults_follow_catalog():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from orepa.okt import MAGIC, FormatError, read_okt, write_okt
 from orepa.tensor import KernelTensor, Tensor
 
-from util import okt_bytes
+from util import check_edge, okt_bytes
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -35,6 +35,15 @@ def test_tensor_round_trip_bit_exact(tmp_path, shape):
     assert isinstance(back, Tensor)
     assert back.shape == shape
     assert back.data.tobytes() == t.data.tobytes()
+
+
+@pytest.mark.parametrize("obj,want", [
+    (np.zeros((1, 1, 1, 1)), TypeError("cannot serialize ndarray")),
+    ([[[0.0]]], TypeError("cannot serialize list")),
+], ids=["ndarray", "list"])
+def test_documented_edges(tmp_path, obj, want):
+    check_edge(lambda: write_okt(tmp_path / "x.okt", obj), want)
+    assert not (tmp_path / "x.okt").exists()
 
 
 def test_file_layout(tmp_path):

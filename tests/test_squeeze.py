@@ -7,15 +7,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orepa import layers as L
+from orepa.layers import as_dense
 from orepa.blocks import build_preset
-from orepa.squeeze import (BlockGraph, Branch, MergeError, apply_branch_scaling,
-                           block_forward_squeezed, build_branch, cost_report,
-                           expanded_forward, merge_parallel, merge_sequential,
-                           squeeze_block)
-from orepa.tensor import KernelTensor, Tensor, conv2d_direct
+from orepa.squeeze import (BlockGraph, Branch, MergeError, _fold, _trace,
+                           apply_branch_scaling, block_forward_squeezed, build_branch,
+                           cost_report, expanded_forward, merge_parallel,
+                           merge_sequential, squeeze_block)
+from orepa.tensor import KernelTensor, ShapeError, Tensor, conv2d_direct
 
 from oracles import merge_kernels_loop
-from util import block_graphs, peak_bytes, rand_input
+from util import block_graphs, check_edge, peak_bytes, rand_input
+
+
+def _conv(i, o):
+    return L.materialize(L.LayerSpec("conv", i, o), 0)
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: Branch([], []),
+     ShapeError("branch", "one weight per layer, at least one layer", 0)),
+    (lambda: Branch([L.LayerSpec("conv", 2, 3), L.LayerSpec("conv", 2, 2)],
+                    [_conv(2, 3), _conv(2, 2)]),
+     ShapeError("branch layer 1 in_channels", 3, 2)),
+    (lambda: Branch([L.LayerSpec("conv", 2, 3)], [_conv(2, 3)], scaling=[1.0, 1.0]),
+     ShapeError("scaling", (3,), (2,))),
+    (lambda: BlockGraph([]), ShapeError("branches", ">= 1", 0)),
+    (lambda: BlockGraph([build_branch([L.LayerSpec("conv", 2, o)], 0) for o in (2, 3)]),
+     ShapeError("branch channels", (2, 2), (2, 3))),
+    (lambda: apply_branch_scaling(_conv(2, 3), [1.0]), ShapeError("gamma", (3,), (1,))),
+], ids=["empty_branch", "broken_chain", "scaling_length", "no_branches",
+        "branch_channels", "gamma_length"])
+def test_documented_edges(call, want):
+    check_edge(call, want)
 
 
 def test_1x1_merge_is_matmul():
@@ -337,6 +360,71 @@ def test_cost_1x1_then_3x3_worked_example():
     assert costs["online"]["buffer_elems"] == 64 * 64 * 3 * 3
     ratio = costs["offline"]["buffer_elems"] / costs["online"]["buffer_elems"]
     assert ratio > 100
+
+
+@pytest.mark.parametrize("preset,kwargs,want", [
+    # grouped 1x1_pool, 1x1_filter and dw_pw layers; the figures cost_report gave
+    # while it still ran the squeeze
+    ("orepa3x3", dict(in_ch=4, out_ch=8, k=3, expansion=2),
+     {"offline": {"buffer_elems": 12288, "mults": 126720},
+      "online": {"buffer_elems": 4352, "mults": 38336}}),
+    ("orepavgg", dict(in_ch=8, out_ch=8, k=3),
+     {"offline": {"buffer_elems": 20736, "mults": 271872},
+      "online": {"buffer_elems": 11712, "mults": 109056}}),
+])
+def test_cost_report_books_from_shapes_without_merging(monkeypatch, preset, kwargs, want):
+    block = build_preset(preset, **kwargs)
+
+    def no_kernel_op(*args):
+        raise AssertionError("cost_report computed a kernel")
+
+    monkeypatch.setattr("orepa.squeeze.merge_sequential", no_kernel_op)
+    monkeypatch.setattr("orepa.squeeze.as_dense", no_kernel_op)
+    assert cost_report(block, (8, 6), 2) == want
+
+
+def test_cost_report_refuses_an_even_branch_beside_another():
+    rng = np.random.default_rng(0)
+    block = BlockGraph([build_branch([L.LayerSpec("conv", 2, 2, k=k)], rng) for k in (2, 3)])
+    with pytest.raises(MergeError, match="even effective extent 2x2"):
+        cost_report(block, (8, 8), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=block_graphs(max_branches=6, max_ch=8))
+def test_trace_books_the_fold_property(block):
+    # _trace walks kernel shapes apart from the fold; this holds the two
+    # together, branch by branch, then at the parallel merge
+    try:
+        kernel = squeeze_block(block).kernel
+    except MergeError:
+        return
+    steps = _trace(block)
+    for branch in block.branches:
+        folds = []
+        fold = _fold(branch, folds)
+        prefix, weights = folds[0], branch.weights
+        grouped = [w for w in weights if w.groups != 1]
+        mine = steps[:len(grouped) + len(weights) - 1 + (branch.scaling is not None)]
+        del steps[:len(mine)]
+        expands = [s for s in mine if s.op == "as_dense"]
+        assert [(s.inputs, s.output) for s in expands] == [((w.shape,), as_dense(w).shape)
+                                                         for w in grouped]
+        merges = [s for s in mine if s.op == "merge_sequential"]
+        assert [s.output for s in merges] == [p.shape for p in prefix[1:]]
+        assert [s.inputs for s in merges] == [(as_dense(p).shape, as_dense(w).shape)
+                                              for p, w in zip(prefix[:-1], weights[1:])]
+        scales = [s for s in mine if s.op == "scale"]
+        if branch.scaling is None:
+            assert scales == []
+        else:
+            assert scales == [mine[-1]]
+            assert mine[-1].output == apply_branch_scaling(fold, branch.scaling).shape
+    if len(block.branches) == 1:
+        assert steps == []
+    else:
+        assert [s.op for s in steps] == ["merge_parallel"]
+        assert steps[0].output == kernel.shape
 
 
 def test_cost_orepa_preset_buffer_reduction():

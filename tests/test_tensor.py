@@ -12,7 +12,31 @@ from orepa.tensor import (_CACHE_BUDGET, ConvGeometry, KernelTensor, ShapeError,
                           pad_spatial, same_padding, scale_by_channel, sum_over)
 
 from oracles import conv2d_loop, conv_grad_w_loop
-from util import peak_bytes
+from util import check_edge, peak_bytes
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: tensor.np_dtype("f16"),
+     ValueError("unsupported dtype 'f16', expected one of ['f32', 'f64']")),
+    (lambda: Tensor(np.zeros((2, 2))), ShapeError("rank", "3 or 4", 2)),
+    (lambda: pad_spatial(Tensor(np.zeros((1, 2, 2))), 0, -1, 0, 0),
+     ShapeError("padding", ">= 0", (0, -1, 0, 0))),
+    (lambda: conv2d_direct(Tensor(np.zeros((1, 2, 2)), dtype="f32"),
+                           KernelTensor(np.zeros((1, 1, 1, 1)))),
+     ShapeError("dtype", "f64", "f32")),
+    (lambda: conv2d_direct(Tensor(np.zeros((1, 3, 2))), KernelTensor(np.zeros((1, 1, 1, 3)))),
+     ShapeError("width", ">= kernel width 3", 2)),
+    (lambda: conv2d_direct(Tensor(np.zeros((1, 2, 2))), KernelTensor(np.zeros((2, 1, 1, 1))),
+                           bias=[1.0]),
+     ShapeError("bias", (2,), (1,))),
+    (lambda: Tensor(np.arange(8).reshape(2, 2, 2)).dtype, "f64"),
+    (lambda: repr(Tensor(np.zeros((1, 2, 3)))), "Tensor(shape=(1, 2, 3), dtype=f64)"),
+    (lambda: repr(KernelTensor(np.zeros((4, 1, 3, 3)), groups=2, dtype="f32")),
+     "KernelTensor(shape=(4, 1, 3, 3), groups=2, dtype=f32)"),
+], ids=["f16", "rank_2", "negative_pad", "f32_input_f64_kernel", "narrower_than_kernel",
+        "bias_length", "int_array_is_f64", "tensor_repr", "kernel_repr"])
+def test_documented_edges(call, want):
+    check_edge(call, want)
 
 
 def test_scalar_product():

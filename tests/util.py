@@ -1,7 +1,8 @@
 """Shared test helpers: a seeded random block generator, the same
 generator as a hypothesis strategy, an independent finite-difference
 oracle that goes through the expanded evaluation, the bytes of an OKT
-file with a given header, and the allocation peak of one call.
+file with a given header, the allocation peak of one call, and the check
+of a documented edge (a call and the error or value it gives).
 
 The seeded generator, make_random_block, serves only two checks: the
 acceptance criteria 1 and 2, which print fixed counts of blocks, and
@@ -10,11 +11,13 @@ to run per hypothesis example. Every other randomized check of a block
 draws it from block_graphs."""
 
 import json
+import re
 import struct
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from orepa import layers as L
@@ -43,7 +46,7 @@ def _random_layer(src, w_in, w_out, ks):
     if kind == "depthwise":
         obj["expansion"] = w_out // w_in
     if kind == "gconv":
-        g = int(src.pick(_divisors(w_in)))
+        g = int(src.groups(w_in))
         obj.update(kind="conv", groups=g if w_out % g == 0 else 1)
     if kind == "scaling":
         obj["value"] = src.value()
@@ -54,7 +57,8 @@ def _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_c
     """A block drawn from src: ints(lo, hi), width(max_ch, prev, out) and
     pick(options) choose its structure, from square_kinds where a layer
     keeps its width and from wider_kinds where it multiplies it (conv or
-    pointwise otherwise), value() a scaling layer's value,
+    pointwise otherwise), groups(width) a grouped conv's group count,
+    value() a scaling layer's value,
     scaling(out_ch) a branch scaling or None; weight_rng materializes the
     kernels."""
     in_ch = src.width(max_ch, None)
@@ -79,6 +83,7 @@ def make_random_block(seed, max_branches=6, max_depth=3, max_ch=8, ks=(1, 3, 5),
     ints = lambda lo, hi: int(rng.integers(lo, hi + 1))  # noqa: E731
     src = SimpleNamespace(
         ints=ints, width=lambda max_ch, prev, out=False: ints(1, max_ch), pick=rng.choice,
+        groups=lambda w: rng.choice(_divisors(w)),
         square_kinds=SQUARE_KINDS, wider_kinds=["conv", "pointwise"],
         value=lambda: float(rng.uniform(0.3, 1.2)),
         scaling=lambda c: (rng.uniform(0.3, 1.2, size=c)
@@ -93,8 +98,10 @@ def block_graphs(draw, max_branches=4, max_depth=3, max_ch=6, ks=(1, 2, 3, 4, 5)
     and without branch scalings. A width often repeats the one before it,
     so that the channel-wise kinds, which keep their width, get drawn. Some
     blocks hold only grouped convs at one composite width, 4 or 6, so that
-    groups strictly between 1 and the width come up often, groups 3 then 2
-    at width 6 among them; others keep 2 or 3 channels until each branch's
+    groups strictly between 1 and the width come up often; at width 6, a
+    grouped conv after one of groups 2 or 3 often takes the other, so that
+    groups 3 then 2 and 2 then 3 come up by construction, not by the luck
+    of the stream. Others keep 2 or 3 channels until each branch's
     last layer, a depthwise one with a channel multiplier of 2 or 3. Every
     later layer takes its merge adjoint in its native layout, chunked by its
     groups and the layer before's (squeeze._merge_backward), so these draws
@@ -115,8 +122,17 @@ def block_graphs(draw, max_branches=4, max_depth=3, max_ch=6, ks=(1, 2, 3, 4, 5)
         return draw(st.integers(1, max_ch) if prev is None else
                     st.just(prev) | st.integers(1, max_ch))
 
+    last_groups = [1]
+
+    def groups(w):
+        options = st.sampled_from(_divisors(w))
+        if w == 6 and last_groups[0] in (2, 3):
+            options = st.just(5 - last_groups[0]) | options
+        last_groups[0] = draw(options)
+        return last_groups[0]
+
     src = SimpleNamespace(
-        ints=lambda lo, hi: draw(st.integers(lo, hi)), width=width,
+        ints=lambda lo, hi: draw(st.integers(lo, hi)), width=width, groups=groups,
         pick=lambda options: draw(st.sampled_from(list(options))),
         square_kinds=SQUARE_KINDS if composite is None else ["gconv"],
         wider_kinds=["depthwise"] if mode == "multiplier" else ["conv", "pointwise"],
@@ -178,3 +194,14 @@ def peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def check_edge(call, want):
+    """call() raises an exception of want's type and exact message, if want
+    is an exception, else returns want, of want's type."""
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            call()
+    else:
+        got = call()
+        assert got == want and type(got) is type(want)
