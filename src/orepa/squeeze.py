@@ -333,7 +333,7 @@ def _trace(block):
     into the dense fold before it at one multiply per (its tap) x (fold
     element) pair, then the scaling at one per fold element; two or more
     branches end in merge_parallel. _fold merges grouped layers natively."""
-    trace, folds = [], []
+    trace, shapes = [], []
     for branch in block.branches:
         fold = None
         for w in branch.weights:
@@ -347,9 +347,9 @@ def _trace(block):
             fold = dense if fold is None else merged
         if branch.scaling is not None:
             trace.append(TraceStep("scale", (fold, branch.scaling.shape), fold, math.prod(fold)))
-        folds.append(fold)
-    if len(folds) > 1:
-        trace.append(TraceStep("merge_parallel", tuple(folds),
+        shapes.append(fold)
+    if len(shapes) > 1:
+        trace.append(TraceStep("merge_parallel", tuple(shapes),
                                (block.out_ch, block.in_ch) + block.effective_k, 0))
     return trace
 

@@ -86,9 +86,9 @@ def test_branch_output_std_at_init(channels, init):
 
 def _branch_std_in_training(scalings, steps=(0, 5, 20, 50, 100)):
     """Each orepa3x3 branch's scaled output std (16 channels, seed 0) on a
-    standard-normal (2, 16, 28, 28) input, at each of steps of an online
-    train_toy run of 100 steps at eta 0.05, fitting the target orepa
-    train-toy draws for seed 0."""
+    standard-normal (2, 16, 28, 28) input, after each step count in steps
+    of an online train_toy run of 100 steps at eta 0.05 that fits the
+    target orepa train-toy draws for seed 0."""
     block = build_preset("orepa3x3", 16, 16, 3, seed=0)
     if scalings == "ones":
         for b in block.branches:

@@ -27,10 +27,6 @@ from util import (block_graphs, check_edge, fd_grads_via_expanded, make_random_b
                   peak_bytes, rand_input)
 
 
-# --------------------------------------------------------------------------
-# Parameter flattening
-# --------------------------------------------------------------------------
-
 def _zero_gamma_report():
     """probe_branchwise_gamma with every gamma at 0: no scaling energy to
     share, so the reference pair falls back to (1, sum of W)."""
@@ -56,6 +52,10 @@ def _zero_gamma_report():
 def test_documented_edges(call, want):
     check_edge(call, want)
 
+
+# --------------------------------------------------------------------------
+# Parameter flattening
+# --------------------------------------------------------------------------
 
 def test_paramset_round_trip():
     block = build_preset("orepa3x3", 2, 3, 3, seed=1)

@@ -37,12 +37,9 @@ def test_tensor_round_trip_bit_exact(tmp_path, shape):
     assert back.data.tobytes() == t.data.tobytes()
 
 
-@pytest.mark.parametrize("obj,want", [
-    (np.zeros((1, 1, 1, 1)), TypeError("cannot serialize ndarray")),
-    ([[[0.0]]], TypeError("cannot serialize list")),
-], ids=["ndarray", "list"])
-def test_documented_edges(tmp_path, obj, want):
-    check_edge(lambda: write_okt(tmp_path / "x.okt", obj), want)
+def test_documented_edges(tmp_path):
+    check_edge(lambda: write_okt(tmp_path / "x.okt", np.zeros((1, 1, 1, 1))),
+               TypeError("cannot serialize ndarray"))
     assert not (tmp_path / "x.okt").exists()
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orepa import layers as L
-from orepa.layers import as_dense
 from orepa.blocks import build_preset
 from orepa.squeeze import (BlockGraph, Branch, MergeError, _fold, _trace,
                            apply_branch_scaling, block_forward_squeezed, build_branch,
@@ -408,11 +407,11 @@ def test_trace_books_the_fold_property(block):
         mine = steps[:len(grouped) + len(weights) - 1 + (branch.scaling is not None)]
         del steps[:len(mine)]
         expands = [s for s in mine if s.op == "as_dense"]
-        assert [(s.inputs, s.output) for s in expands] == [((w.shape,), as_dense(w).shape)
+        assert [(s.inputs, s.output) for s in expands] == [((w.shape,), L.as_dense(w).shape)
                                                          for w in grouped]
         merges = [s for s in mine if s.op == "merge_sequential"]
         assert [s.output for s in merges] == [p.shape for p in prefix[1:]]
-        assert [s.inputs for s in merges] == [(as_dense(p).shape, as_dense(w).shape)
+        assert [s.inputs for s in merges] == [(L.as_dense(p).shape, L.as_dense(w).shape)
                                               for p, w in zip(prefix[:-1], weights[1:])]
         scales = [s for s in mine if s.op == "scale"]
         if branch.scaling is None:

@@ -46,7 +46,7 @@ def _random_layer(src, w_in, w_out, ks):
     if kind == "depthwise":
         obj["expansion"] = w_out // w_in
     if kind == "gconv":
-        g = int(src.groups(w_in))
+        g = int(src.pick(_divisors(w_in)))
         obj.update(kind="conv", groups=g if w_out % g == 0 else 1)
     if kind == "scaling":
         obj["value"] = src.value()
@@ -57,8 +57,7 @@ def _random_block(src, weight_rng, dtype, stride, max_branches, max_depth, max_c
     """A block drawn from src: ints(lo, hi), width(max_ch, prev, out) and
     pick(options) choose its structure, from square_kinds where a layer
     keeps its width and from wider_kinds where it multiplies it (conv or
-    pointwise otherwise), groups(width) a grouped conv's group count,
-    value() a scaling layer's value,
+    pointwise otherwise), value() a scaling layer's value,
     scaling(out_ch) a branch scaling or None; weight_rng materializes the
     kernels."""
     in_ch = src.width(max_ch, None)
@@ -83,7 +82,6 @@ def make_random_block(seed, max_branches=6, max_depth=3, max_ch=8, ks=(1, 3, 5),
     ints = lambda lo, hi: int(rng.integers(lo, hi + 1))  # noqa: E731
     src = SimpleNamespace(
         ints=ints, width=lambda max_ch, prev, out=False: ints(1, max_ch), pick=rng.choice,
-        groups=lambda w: rng.choice(_divisors(w)),
         square_kinds=SQUARE_KINDS, wider_kinds=["conv", "pointwise"],
         value=lambda: float(rng.uniform(0.3, 1.2)),
         scaling=lambda c: (rng.uniform(0.3, 1.2, size=c)
@@ -98,10 +96,8 @@ def block_graphs(draw, max_branches=4, max_depth=3, max_ch=6, ks=(1, 2, 3, 4, 5)
     and without branch scalings. A width often repeats the one before it,
     so that the channel-wise kinds, which keep their width, get drawn. Some
     blocks hold only grouped convs at one composite width, 4 or 6, so that
-    groups strictly between 1 and the width come up often; at width 6, a
-    grouped conv after one of groups 2 or 3 often takes the other, so that
-    groups 3 then 2 and 2 then 3 come up by construction, not by the luck
-    of the stream. Others keep 2 or 3 channels until each branch's
+    groups strictly between 1 and the width come up often, groups 3 then 2
+    at width 6 among them; others keep 2 or 3 channels until each branch's
     last layer, a depthwise one with a channel multiplier of 2 or 3. Every
     later layer takes its merge adjoint in its native layout, chunked by its
     groups and the layer before's (squeeze._merge_backward), so these draws
@@ -122,17 +118,8 @@ def block_graphs(draw, max_branches=4, max_depth=3, max_ch=6, ks=(1, 2, 3, 4, 5)
         return draw(st.integers(1, max_ch) if prev is None else
                     st.just(prev) | st.integers(1, max_ch))
 
-    last_groups = [1]
-
-    def groups(w):
-        options = st.sampled_from(_divisors(w))
-        if w == 6 and last_groups[0] in (2, 3):
-            options = st.just(5 - last_groups[0]) | options
-        last_groups[0] = draw(options)
-        return last_groups[0]
-
     src = SimpleNamespace(
-        ints=lambda lo, hi: draw(st.integers(lo, hi)), width=width, groups=groups,
+        ints=lambda lo, hi: draw(st.integers(lo, hi)), width=width,
         pick=lambda options: draw(st.sampled_from(list(options))),
         square_kinds=SQUARE_KINDS if composite is None else ["gconv"],
         wider_kinds=["depthwise"] if mode == "multiplier" else ["conv", "pointwise"],
