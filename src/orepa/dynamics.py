@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,24 +115,29 @@ def _route_inputs(block, x, upstream):
 def backward_through_squeeze(block, x, upstream):
     """Gradients of L = <upstream, conv(x, W_e)> for every trainable scalar,
     chained through the kernel-space merges of the fold squeeze_block
-    runs. Returns a flat vector in ParamSet order."""
+    runs. The squeezed conv's weight adjoint runs first, before any fold is
+    made, as it reads only W_e's extents; then the branches are folded and
+    walked last to first. Returns a flat vector in ParamSet order."""
     x, upstream = _route_inputs(block, x, upstream)
-    folds = []
-    w_e = _squeeze(block, folds)
+    # W_e is dense, (out_ch, in_ch) + effective_k; its stand-in holds no data
+    w_e = SimpleNamespace(out_channels=block.out_ch, in_channels_per_group=block.in_ch,
+                          groups=1, kh=block.effective_k[0], kw=block.effective_k[1])
     g_e = _conv_grad_w(x, upstream, w_e, block.eval_geometry())
-    del w_e  # only its extents were read
+    folds = []
+    _squeeze(block, folds)  # W_e itself is not read
 
     grad_map = {}
-    for bi, branch in enumerate(block.branches):
+    for bi in range(len(block.branches) - 1, -1, -1):
         # the list lets go of each fold as its walk starts, so a walked
         # branch's prefix products die as the next walk begins
-        prefix, folds[bi] = folds[bi], None
+        prefix, branch = folds.pop(), block.branches[bi]
         g_k = g_e[_centered(g_e.shape, prefix[-1].shape)]
         if branch.scaling is not None:
             grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k)
             g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
         for li in range(len(prefix) - 1, 0, -1):
-            g_k, grad_map[(bi, li)] = _merge_backward(prefix[li - 1], branch.weights[li], g_k)
+            prefix.pop()  # each product dies once the walk is below it
+            g_k, grad_map[(bi, li)] = _merge_backward(prefix[-1], branch.weights[li], g_k)
         # only a single-layer grouped branch's g_k is still a dense crop of g_e
         grad_map[(bi, 0)] = _dense_grad_to_native(g_k, branch.weights[0])
     return ParamSet(block).flatten_grads(grad_map)

@@ -415,8 +415,9 @@ def expanded_forward(block, x):
 
 
 def block_forward_squeezed(block, x):
-    """conv2d_direct with the squeezed kernel under the block's geometry."""
-    return conv2d_direct(x, squeeze_block(block).kernel, block.eval_geometry())
+    """conv2d_direct with the squeezed kernel under the block's geometry;
+    no trace is booked."""
+    return conv2d_direct(x, _squeeze(block), block.eval_geometry())
 
 
 def cost_report(block, feature_hw, batch):

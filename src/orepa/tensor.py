@@ -425,7 +425,8 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0
 
 
 def _conv_grad_w(x, gout, kernel, geom):
-    """d<gout, conv(x, kernel, geom)> / d kernel, native grouped shape."""
+    """d<gout, conv(x, kernel, geom)> / d kernel, native grouped shape. Of
+    the kernel only its extents and groups are read, never its data."""
     return _correlate_grad_w(_batched(x)[0], _batched(gout)[0], kernel.kh, kernel.kw,
                              kernel.groups, geom.stride, geom.padding)
 

@@ -313,17 +313,49 @@ def test_offline_backward_allocation_bound():
     assert peak_bytes(lambda: backward_through_expanded(block, x, g)) <= 1.02 * 11859008
 
 
-def test_online_backward_allocation_bound():
-    # orepavgg at expansion 8, 128 channels, 8x8, batch 2, f64: the measured
-    # peak, 10890608 B, plus 2%. A branch's fold dies once its walk is done,
-    # and the merge adjoint takes each later layer in its native layout:
-    # keeping every fold to the end (14355192 B), or holding the pool and
-    # filter layers' dense expansions to their walk (13388784 B), exceeds it
-    block = build_preset("orepavgg", 128, 128, 3, seed=0, expansion=8)
+@pytest.mark.parametrize("preset,ch,hw,batch,options,measured", [
+    ("orepavgg", 128, (8, 8), 2, {"expansion": 8}, 9633296),
+    ("orepa3x3", 32, (28, 28), 4, {}, 1006512),
+    ("deepstem", 32, (28, 28), 4, {}, 1701112)], ids=["orepavgg", "orepa3x3", "deepstem"])
+def test_online_backward_allocation_bound(preset, ch, hw, batch, options, measured):
+    # f64, the measured peak plus 2%. The squeezed conv's weight adjoint
+    # runs before any fold is made, the branches are walked last to first,
+    # a fold dies as its walk starts and a prefix product once the walk is
+    # below it, and the merge adjoint takes each later layer native.
+    # orepavgg: walking first to last with every prefix product alive
+    # through its branch's walk (10888464 B) exceeds it; either order alone
+    # stays under it (9708568 B first to last, 9633296 B products kept).
+    # orepa3x3: every fold alive through the squeezed weight adjoint
+    # (1302456 B) exceeds it. deepstem: its three-layer stem's prefix
+    # products alive through the walk (2102664 B) exceed it
+    block = build_preset(preset, ch, ch, 3, seed=0, **options)
     rng = np.random.default_rng(0)
-    x = rand_input(rng, block, hw=(8, 8), batch=2)
-    g = Tensor(rng.standard_normal((2, 128, 8, 8)))
-    assert peak_bytes(lambda: backward_through_squeeze(block, x, g)) <= 1.02 * 10890608
+    x = rand_input(rng, block, hw=hw, batch=batch)
+    g = Tensor(rng.standard_normal((batch, ch) + hw))
+    assert peak_bytes(lambda: backward_through_squeeze(block, x, g)) <= 1.02 * measured
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("preset,k,stride", [
+    ("orepa3x3", 3, 1), ("orepa3x3", 3, 2), ("orepa1x1", 1, 1), ("deepstem", 3, 1),
+    ("orepavgg", 3, 1), ("dbb", 5, 1)])
+def test_squeezed_weight_adjoint_reads_only_the_kernel_extents(monkeypatch, preset, k, stride,
+                                                               dtype):
+    # backward_through_squeeze takes the adjoint on a stand-in with W_e's
+    # extents and no data; it gives the bytes W_e itself gives
+    block = build_preset(preset, 4, 4, k, dtype=dtype, seed=0, stride=(stride, stride))
+    rng = np.random.default_rng(0)
+    x = rand_input(rng, block, hw=(7, 6), batch=2)
+    g = Tensor(rng.standard_normal((2, 4, 6 // stride + 1, 5 // stride + 1)), dtype=dtype)
+    kernels = []
+    monkeypatch.setattr("orepa.dynamics._conv_grad_w",
+                        lambda x, gout, kernel, geom: kernels.append(kernel) or
+                        _conv_grad_w(x, gout, kernel, geom))
+    backward_through_squeeze(block, x, g)
+    geom = block.eval_geometry()
+    assert not hasattr(kernels[0], "data")
+    assert (_conv_grad_w(x, g, kernels[0], geom).tobytes()
+            == _conv_grad_w(x, g, squeeze_block(block).kernel, geom).tobytes())
 
 
 @pytest.mark.parametrize("w1_shape,groups,w2_shape,measured", [
@@ -846,6 +878,23 @@ def test_frozen_scalings_train_as_one_conv_with_a_gradient_multiplier(cfg):
         ps.set_flat(flat)
         got = squeeze_block(block).kernel.data
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_the_squeezed_loss_books_no_trace(monkeypatch):
+    # train_toy's loss and finite_difference_grads' probes read only the
+    # squeezed kernel, never the squeeze trace
+    def no_trace(block):
+        raise AssertionError("a trace was booked")
+
+    monkeypatch.setattr("orepa.squeeze._trace", no_trace)
+    block = build_preset("orepa3x3", 2, 2, 3, seed=14)
+    target = KernelTensor(np.full((2, 2) + block.effective_k, 0.1))
+    for mode in ("online", "offline"):
+        assert train_toy(block, target, 2, OptimizerConfig(eta=0.05), mode=mode)["losses"]
+    rng = np.random.default_rng(0)
+    x = rand_input(rng, block, hw=(5, 5), batch=1)
+    g = Tensor(rng.standard_normal((1, 2, 5, 5)))
+    assert np.all(np.isfinite(finite_difference_grads(block, x, g)))
 
 
 def test_train_toy_rejects_bad_target_geometry():
