@@ -47,6 +47,8 @@ class ParamSet:
     Order: branches in block order; within a branch, layers in order,
     then the branch scaling. A trainable layer's parameter is its native
     (grouped) kernel; a scaling layer's (C, 1, 1, 1) kernel is its diagonal.
+    The f64 vector given to set_flat is the parameters' storage: it is
+    frozen, and an f64 block's kernels and scalings are views of it.
     """
 
     def __init__(self, block):
@@ -65,6 +67,11 @@ class ParamSet:
                 self.entries.append(ParamEntry(bi, -1, "gamma", (size,), offset, size))
                 offset += size
         self.size = offset
+        self._flat = None  # set_flat's vector, while the block holds views of it
+
+    def _held(self, e):
+        branch = self.block.branches[e.branch]
+        return branch.scaling if e.layer < 0 else branch.weights[e.layer].data
 
     def _gather(self, value_of):
         """value_of(entry) at each entry's offset of one f64 vector."""
@@ -74,22 +81,29 @@ class ParamSet:
         return out
 
     def get_flat(self):
-        branches = self.block.branches
-        return self._gather(lambda e: branches[e.branch].scaling if e.layer < 0
-                            else branches[e.branch].weights[e.layer].data)
+        """The frozen f64 vector set_flat kept, while every entry still holds the
+        array set_flat installed; else a new gather, as in an f32 block."""
+        if self._flat is not None and all(
+                self._held(e) is a for e, a in zip(self.entries, self._installed)):
+            return self._flat
+        return self._gather(self._held)
 
     def set_flat(self, flat):
-        if flat.shape != (self.size,):
-            raise ShapeError("flat params", (self.size,), flat.shape)
+        """Keep flat as an f64 array made read-only (see _Array); each kernel and
+        scaling is a view of it, or, in an f32 block, a rounded copy."""
+        if np.shape(flat) != (self.size,):
+            raise ShapeError("flat params", (self.size,), np.shape(flat))
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        flat.setflags(write=False)
         for e in self.entries:
-            branch = self.block.branches[e.branch]
-            chunk = flat[e.offset:e.offset + e.size].reshape(e.shape)
+            branch, old = self.block.branches[e.branch], self._held(e)
+            chunk = flat[e.offset:e.offset + e.size].reshape(e.shape).astype(old.dtype, copy=False)
             if e.layer < 0:
-                branch.scaling = chunk.astype(branch.scaling.dtype)
+                branch.scaling = chunk
                 continue
-            old = branch.weights[e.layer]
-            branch.weights[e.layer] = KernelTensor(chunk.astype(old.data.dtype),
-                                                   groups=old.groups)
+            branch.weights[e.layer] = KernelTensor(chunk, groups=branch.weights[e.layer].groups)
+        self._installed = [self._held(e) for e in self.entries]
+        self._flat = flat if all(a.dtype == np.float64 for a in self._installed) else None
 
     def flatten_grads(self, grad_map):
         """grad_map: {(branch, layer): array}, layer -1 for gamma; KeyError if one is missing."""
@@ -140,6 +154,7 @@ def backward_through_squeeze(block, x, upstream):
             g_k, grad_map[(bi, li)] = _merge_backward(prefix[-1], branch.weights[li], g_k)
         # only a single-layer grouped branch's g_k is still a dense crop of g_e
         grad_map[(bi, 0)] = _dense_grad_to_native(g_k, branch.weights[0])
+    del g_e, g_k  # freed before flatten_grads allocates; a gradient cropped from g_e keeps it
     return ParamSet(block).flatten_grads(grad_map)
 
 
@@ -192,10 +207,11 @@ def finite_difference_grads(block, x, upstream, eps=1e-6):
     base = ps.get_flat()
     out = np.zeros_like(base)
     for i in range(base.size):
-        probe = base.copy()
+        probe = base.copy()  # set_flat freezes its vector: a new probe each time
         probe[i] = base[i] + eps
         ps.set_flat(probe)
         hi = inner_loss(block, x, upstream)
+        probe = base.copy()
         probe[i] = base[i] - eps
         ps.set_flat(probe)
         lo = inner_loss(block, x, upstream)
@@ -278,9 +294,7 @@ def sgd_step(params, grads, cfg, state=None):
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if cfg.momentum == 0.0 or state is None:
-        velocity = grads
-        if state is not None:
-            state.velocity = velocity
+        velocity = grads  # kept nowhere: at mu = 0 the state holds no gradient
     else:
         factor = cfg.eta * cfg.momentum if cfg.momentum_mode == "scaled" else cfg.momentum
         prev = state.velocity if state.velocity is not None else np.zeros_like(grads)

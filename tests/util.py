@@ -149,10 +149,11 @@ def fd_grads_via_expanded(block, x, upstream, eps=1e-6):
         return float(np.sum(up * expanded_forward(block, x).data))
 
     for i in range(base.size):
-        probe = base.copy()
+        probe = base.copy()  # set_flat freezes its vector: a new probe each time
         probe[i] = base[i] + eps
         ps.set_flat(probe)
         hi = loss()
+        probe = base.copy()
         probe[i] = base[i] - eps
         ps.set_flat(probe)
         lo = loss()
