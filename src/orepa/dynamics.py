@@ -147,13 +147,18 @@ def backward_through_squeeze(block, x, upstream):
         prefix, branch = folds.pop(), block.branches[bi]
         g_k = g_e[_centered(g_e.shape, prefix[-1].shape)]
         if branch.scaling is not None:
-            grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k)
+            if branch.scaling_trainable:
+                grad_map[(bi, -1)] = np.einsum("opij,opij->o", prefix[-1].data, g_k)
             g_k = g_k * np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
         for li in range(len(prefix) - 1, 0, -1):
             prefix.pop()  # each product dies once the walk is below it
-            g_k, grad_map[(bi, li)] = _merge_backward(prefix[-1], branch.weights[li], g_k)
+            g_k, dw = _merge_backward(prefix[-1], branch.weights[li], g_k)
+            if branch.layers[li].trainable:  # a fixed layer's adjoint runs; its result dies here
+                grad_map[(bi, li)] = dw
+            del dw
         # only a single-layer grouped branch's g_k is still a dense crop of g_e
-        grad_map[(bi, 0)] = _dense_grad_to_native(g_k, branch.weights[0])
+        if branch.layers[0].trainable:
+            grad_map[(bi, 0)] = _dense_grad_to_native(g_k, branch.weights[0])
     del g_e, g_k  # freed before flatten_grads allocates; a gradient cropped from g_e keeps it
     return ParamSet(block).flatten_grads(grad_map)
 
@@ -183,15 +188,20 @@ def backward_through_expanded(block, x, upstream):
         for li in range(len(branch.weights) - 1, -1, -1):
             w = branch.weights[li]
             # each map dies at its weight adjoint, before the input adjoint runs
-            dw = grad_map[(bi, li)] = _conv_grad_w(acts.pop(), g_a, w, valid)
+            dw = _conv_grad_w(acts.pop(), g_a, w, valid)
             if branch.scaling is not None and li == len(branch.weights) - 1:
                 gamma = np.asarray(branch.scaling, dtype=np.float64)[:, None, None, None]
-                grad_map[(bi, -1)] = np.einsum("opij,opij->o", w.data, dw)
-                dw *= gamma  # the entry in grad_map too
+                if branch.scaling_trainable:
+                    grad_map[(bi, -1)] = np.einsum("opij,opij->o", w.data, dw)
+                dw *= gamma
                 w = KernelTensor(w.data * gamma, groups=w.groups) if li > 0 else w
+            if branch.layers[li].trainable:  # a fixed layer's adjoint runs; its result dies here
+                grad_map[(bi, li)] = dw
+            del dw
             if li > 0:
                 g_a = _conv_grad_x(g_a, w)
         del g_a  # the branch's last map gradient, before the next branch's maps
+    del xp, g_sum  # freed before flatten_grads allocates
     return ParamSet(block).flatten_grads(grad_map)
 
 

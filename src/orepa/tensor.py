@@ -382,11 +382,12 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0
     items * H * W), a zero-bordered copy of the block when padded, and g
     zero-filled to the same positions, so tap (i, j) is one batched GEMM of
     g against x shifted by i*W + j, contracting items and space; the
-    positions past g's extents add zeros. A stride pads x whole and splits
-    it and dw into phases, each a stride-1 adjoint writing its own taps of
-    dw, so nothing is summed. Only the adjoint keeps phases: strided tile
-    windows, as the forward's, measured faster here but raised the online
-    step's peak."""
+    positions past g's extents add zeros. A block of one item reads g in
+    place when g has the padded extents, as a 1x1 kernel's does. A stride
+    pads x whole and splits it and dw into phases, each a stride-1 adjoint
+    writing its own taps of dw, so nothing is summed. Only the adjoint
+    keeps phases: strided tile windows, as the forward's, measured faster
+    here but raised the online step's peak."""
     b, c, hgt, wid = x.shape
     co, ho, wo = g.shape[1:]
     cig, cog = c // groups, co // groups
@@ -407,7 +408,8 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0
     n = hp * wp - (kh - 1) * wp - (kw - 1)
     blocks = _blocks(b, groups, (cig + cog) * hp * wp * dt.itemsize)
     _, _, ni, ng = blocks[0]
-    buf = np.empty(ng * cog * ni * hp * wp, dtype=g.dtype)
+    in_place = ni == 1 and (ho, wo) == (hp, wp)
+    buf = None if in_place else np.empty(ng * cog * ni * hp * wp, dtype=g.dtype)
     xz = np.empty(ng * cig * ni * hp * wp, dtype=x.dtype) if any(padding) else None
     for ib, gb, ni, ng in blocks:
         xb = x5[ib, gb].transpose(1, 2, 0, 3, 4)
@@ -415,8 +417,10 @@ def _correlate_grad_w(x, g, kh, kw, groups=1, stride=(1, 1), padding=(0, 0, 0, 0
             xb = _zero_bordered(xz[:ng * cig * ni * hp * wp].reshape(ng, cig, ni, hp, wp),
                                 xb, -p_t, p_l)
         xb = xb.reshape(ng, cig, -1)
-        gz = _zero_bordered(buf[:ng * cog * ni * hp * wp].reshape(ng, cog, ni, hp, wp),
-                            g5[ib, gb].transpose(1, 2, 0, 3, 4), 0, 0)
+        gz = g5[ib, gb].transpose(1, 2, 0, 3, 4)
+        if not in_place:
+            gz = _zero_bordered(buf[:ng * cog * ni * hp * wp].reshape(ng, cog, ni, hp, wp),
+                                gz, 0, 0)
         gf = gz.reshape(ng, cog, -1)[..., :(ni - 1) * hp * wp + n]
         for t in range(kh * kw):
             off = t // kw * wp + t % kw

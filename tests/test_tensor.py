@@ -144,6 +144,28 @@ def test_dense_conv_above_the_cache_budget_equals_its_items_stacked():
     assert np.array_equal(got, np.stack([conv2d_direct(Tensor(item), w).data for item in x]))
 
 
+@pytest.mark.parametrize("shape,dtype,items", [((3, 64, 48, 30), np.float64, 1),
+                                                ((3, 64, 48, 30), np.float32, 2),
+                                                ((4, 16, 24, 7), np.float64, 4),
+                                                ((4, 16, 24, 7), np.float32, 4)])
+def test_1x1_weight_adjoint_is_its_block_gemms_summed_in_order(shape, dtype, items):
+    # byte for byte, one GEMM per block of _blocks over its items and
+    # positions, summed in block order from zero. A block of one item, whose
+    # gout is read in place, is g[b].reshape(Co, -1) @ x[b].reshape(C, -1).T,
+    # so blocks of one item give that sum over b in item order
+    b, c, co, hw = shape
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal((b, c, hw, hw)).astype(dtype)
+    g = rng.standard_normal((b, co, hw, hw)).astype(dtype)
+    assert _blocks(b, 1, (c + co) * hw * hw * x.itemsize)[0][2] == items
+    want = np.zeros((co, c), dtype=dtype)
+    for i in range(0, b, items):
+        want += (g[i:i + items].transpose(1, 0, 2, 3).reshape(co, -1)
+                 @ x[i:i + items].transpose(1, 0, 2, 3).reshape(c, -1).T)
+    w = KernelTensor(np.zeros((co, c, 1, 1), dtype=dtype))
+    assert _conv_grad_w(x, g, w, ConvGeometry()).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("x_shape,w_shape,groups", [((4, 32, 30, 30), (32, 32, 3, 3), 1),
                                                     ((4, 32, 32, 32), (32, 32, 5, 5), 1),
                                                     ((2, 64, 60, 60), (64, 64, 3, 3), 1),
@@ -233,6 +255,7 @@ def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
     w_1x1 = KernelTensor(rng.standard_normal((64, 1, 1, 1)), groups=64)
     w_dense_1x1 = KernelTensor(rng.standard_normal((64, 64, 1, 1)))
     g = rng.standard_normal((2, 64, 56, 56))
+    g58 = rng.standard_normal((2, 64, 58, 58))
     # same padding reads x_in (2, 64, 56, 56) with x's padded extents, but
     # in place: the padded rows a block or a tile reads are copied beside
     # its windows. A dense 3x3 tile of 4 output rows reads 6 input rows of
@@ -259,6 +282,10 @@ def test_channelwise_conv_and_weight_adjoint_allocate_within_the_cache_budget():
               w_dense.data.nbytes + x.data.nbytes + _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w, ConvGeometry()), _CACHE_BUDGET),
              (lambda: _conv_grad_w(x, g, w_dense, ConvGeometry()), x.data.nbytes + _CACHE_BUDGET),
+             # a 1x1 VALID adjoint's gout has x's extents: blocks of one item
+             # read it in place, with no zero-filled copy of an item (1.72 MB)
+             (lambda: _conv_grad_w(x, g58, w_dense_1x1, ConvGeometry()),
+              w_dense_1x1.data.nbytes + 65536),
              # per item: g zero-filled and x zero-bordered to x's extents, each
              # half of x, beside dw and one tap's (64, 64) product
              (lambda: _conv_grad_w(x_in, g, w_dense, same),
