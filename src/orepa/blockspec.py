@@ -80,14 +80,9 @@ def block_from_spec(doc):
 
 def _build_block(doc):
     dtype, seed = doc.get("dtype", "f64"), doc["seed"]
-    if "preset" in doc:
-        opts = doc.get("options", {})
+    if "preset" in doc:  # the schema's option keys are build_preset's keywords
         return build_preset(doc["preset"], doc["in_ch"], doc["out_ch"], k=doc["k"],
-                            dtype=dtype, seed=seed,
-                            stride=tuple(opts.get("stride", (1, 1))),
-                            expansion=opts.get("expansion"),
-                            internal_ch=opts.get("internal_ch"),
-                            frozen_scaling=opts.get("frozen_scaling", False))
+                            dtype=dtype, seed=seed, **doc.get("options", {}))
     rng = np.random.default_rng(seed)
     scaling_init = doc.get("scaling_init")
     if scaling_init is not None and len(scaling_init) != len(doc["branches"]):

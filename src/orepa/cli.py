@@ -1,14 +1,15 @@
 """Command-line surface: squeeze, verify, gradcheck, dynamics, bench,
 train-toy, analyze.
 
-Each command prints its table and returns (spec doc, report body, verdict);
-main alone writes the report and picks the exit code. Exit codes: 0 pass,
-1 invariant violation, 2 usage, spec (including one no block can be built
-from), checkpoint, kernel-file (including a kernel that does not fit the
-spec), file-system error or an input too large to allocate, 3 internal
-error (a merge/shape error, or any other exception with its traceback). Reports are deterministic for a given (spec, seed,
-flags); no timestamps are emitted, and a NaN or infinite number is written
-as null.
+main checks the flags, then loads the spec (analyze: the checkpoint); each
+command gets (args, spec doc, block), prints its table and returns (report
+body, verdict), and main alone writes the report and picks the exit code.
+Exit codes: 0 pass, 1 invariant violation, 2 usage, spec (including one no
+block can be built from), checkpoint, kernel-file (including a kernel that
+does not fit the spec), file-system error or an input too large to allocate,
+3 internal error (a merge/shape error, or any other exception with its
+traceback). Reports are deterministic for a given (spec, seed, flags); no
+timestamps are emitted, and a NaN or infinite number is written as null.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class UsageError(Exception):
 
 
 def _check_flags(args):
-    """Reject out-of-range numeric flags before any work starts."""
+    """Reject out-of-range numeric flags before any work starts, the spec's load included."""
     for name in ("trials", "batch", "steps", "layers", "hw"):
         if min(np.atleast_1d(getattr(args, name, 1))) < 1:
             raise UsageError(f"--{name} must be >= 1")
@@ -59,6 +60,8 @@ def _check_flags(args):
     for name in ("tol", "weight_decay"):
         if getattr(args, name, None) is not None and not 0 <= getattr(args, name) < math.inf:
             raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0")
+    if not 0 <= getattr(args, "momentum", 0.0) < 1:
+        raise UsageError("momentum must be in [0, 1)")
 
 
 def _finite_or_null(v):
@@ -84,8 +87,7 @@ def _print_table(rows):
         print(f"{k:<{width}}  {v}")
 
 
-def cmd_squeeze(args):
-    doc, block = load_spec(args.spec)
+def cmd_squeeze(args, doc, block):
     result = squeeze_block(block)
     write_okt(args.out, result.kernel)
     trace_path = args.trace or (args.out + ".trace.jsonl")
@@ -93,7 +95,7 @@ def cmd_squeeze(args):
         fh.write(result.trace_json_lines() + "\n")
     keh, kew = result.effective_k
     print(f"effective kernel {keh}x{kew}")
-    return doc, {
+    return {
         "effective_k": [keh, kew],
         "kernel_shape": list(result.kernel.shape),
         "out": args.out,
@@ -102,9 +104,8 @@ def cmd_squeeze(args):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite output is reported, and fails
-def cmd_verify(args):
-    doc, block = load_spec(args.spec)
-    dtype = doc.get("dtype", "f64")
+def cmd_verify(args, doc, block):
+    dtype = block.dtype
     tol = VERIFY_TOL[dtype] if args.tol is None else args.tol
     if args.kernel:
         kernel = read_okt(args.kernel)
@@ -129,27 +130,25 @@ def cmd_verify(args):
     # an infinite output would scale the tolerance to inf: it fails like a NaN
     ok = worst <= tol * y_max < math.inf
     print(f"max residual {worst:.3e} over {args.trials} trials (tol {tol:.1e})")
-    return doc, {"trials": args.trials, "tol": tol, "max_residual": worst, "pass": ok}, ok
+    return {"trials": args.trials, "tol": tol, "max_residual": worst, "pass": ok}, ok
 
 
-def cmd_gradcheck(args):
-    doc, block = load_spec(args.spec)
+def cmd_gradcheck(args, doc, block):
     rng = np.random.default_rng(doc["seed"])
     x = Tensor(rng.standard_normal(_addressable((args.batch, block.in_ch, *args.hw))),
-               dtype=doc.get("dtype", "f64"))
+               dtype=block.dtype)
     up_shape = (args.batch, block.out_ch) + _output_hw(block, args.hw)
-    upstream = Tensor(rng.standard_normal(_addressable(up_shape)), dtype=doc.get("dtype", "f64"))
+    upstream = Tensor(rng.standard_normal(_addressable(up_shape)), dtype=block.dtype)
     res = gradcheck_block(block, x, upstream)
     _print_table([("params", res["n_params"]),
                   ("route diff (squeezed vs expanded)", f"{res['route_diff']:.3e}"),
                   ("finite-difference rel err", f"{res['fd_rel_err']:.3e}"),
                   ("ok", res["ok"])])
-    return doc, res, res["ok"]
+    return res, res["ok"]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a probe that overflows is reported, and fails
-def cmd_dynamics(args):
-    doc, _ = load_spec(args.spec)
+def cmd_dynamics(args, doc, block):
     rng = np.random.default_rng(doc["seed"])
     eta = args.eta
     if args.probe == "convscale":
@@ -178,11 +177,10 @@ def cmd_dynamics(args):
     if rep.residual_ratio is not None:
         rows.append(("residual_ratio (eta vs eta/2)", f"{rep.residual_ratio:.3f}"))
     _print_table(rows)
-    return doc, {**asdict(rep), "pass": ok}, ok
+    return {**asdict(rep), "pass": ok}, ok
 
 
-def cmd_bench(args):
-    doc, block = load_spec(args.spec)
+def cmd_bench(args, doc, block):
     costs = cost_report(block, (args.hw[0], args.hw[1]), args.batch)
     off, on = costs["offline"], costs["online"]
     buf_ratio = on["buffer_elems"] / off["buffer_elems"] if off["buffer_elems"] else 0.0
@@ -195,32 +193,27 @@ def cmd_bench(args):
         ("online mults", on["mults"]),
         ("mult ratio online/offline", f"{mult_ratio:.4f}"),
     ])
-    return doc, {"hw": list(args.hw), "batch": args.batch, **costs,
-                 "buffer_ratio": buf_ratio, "mult_ratio": mult_ratio}, True
+    return {"hw": list(args.hw), "batch": args.batch, **costs,
+            "buffer_ratio": buf_ratio, "mult_ratio": mult_ratio}, True
 
 
-def cmd_train_toy(args):
-    try:
-        cfg = OptimizerConfig(eta=args.eta, weight_decay=args.weight_decay,
-                              momentum=args.momentum)
-    except ValueError as exc:
-        raise UsageError(exc) from None
-    doc, block = load_spec(args.spec)
+def cmd_train_toy(args, doc, block):
     rng = np.random.default_rng(doc["seed"] + 1)
     keh, kew = block.effective_k
     target_arr = rng.standard_normal((block.out_ch, block.in_ch, keh, kew)) * 0.2
-    target = KernelTensor(target_arr, dtype=doc.get("dtype", "f64"))
+    target = KernelTensor(target_arr, dtype=block.dtype)
+    cfg = OptimizerConfig(eta=args.eta, weight_decay=args.weight_decay, momentum=args.momentum)
     res = train_toy(block, target, args.steps, cfg, mode=args.mode,
                     seed=doc["seed"], batch=args.batch, hw=tuple(args.hw))
     if res["diverged_at"] is not None:
         print(f"diverged at step {res['diverged_at']}")
-        return doc, {"mode": args.mode, "diverged_at": res["diverged_at"]}, False
+        return {"mode": args.mode, "diverged_at": res["diverged_at"]}, False
     _print_table([("steps", args.steps), ("mode", args.mode),
                   ("first loss", f"{res['losses'][0]:.6e}"),
                   ("final loss", f"{res['final_loss']:.6e}")])
     if args.save:
         save_checkpoint(args.save, doc, block)
-    return doc, {
+    return {
         "mode": args.mode, "steps": args.steps,
         "eta": args.eta, "first_loss": res["losses"][0],
         "final_loss": res["final_loss"], "loss_curve": res["losses"],
@@ -235,8 +228,7 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def cmd_analyze(args):
-    doc, block = load_checkpoint(args.ckpt)
+def cmd_analyze(args, doc, block):
     sim = branch_similarity(block)
     prof = channel_norm_profile(block)
     names = [b.name or f"branch{i}" for i, b in enumerate(block.branches)]
@@ -247,9 +239,9 @@ def cmd_analyze(args):
     off_diag = [abs(sim[i, j]) for i in range(len(names)) for j in range(len(names)) if i != j]
     mean_off = float(np.mean(off_diag)) if off_diag else 0.0
     print(f"mean off-diagonal |cosine| {mean_off:.4f}")
-    return doc, {"mean_offdiag_abs_cos": mean_off,
-                 "similarity_csv": args.similarity_csv,
-                 "norms_csv": args.norms_csv}, True
+    return {"mean_offdiag_abs_cos": mean_off,
+            "similarity_csv": args.similarity_csv,
+            "norms_csv": args.norms_csv}, True
 
 
 def build_parser():
@@ -331,7 +323,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     try:
         _check_flags(args)
-        doc, body, verdict = args.func(args)
+        doc, block = load_spec(args.spec) if "spec" in args else load_checkpoint(args.ckpt)
+        body, verdict = args.func(args, doc, block)
         if args.json:
             report = {"tool_version": __version__, "seed": doc["seed"],
                       "dtype": doc.get("dtype", "f64"),

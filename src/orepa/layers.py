@@ -149,17 +149,12 @@ def materialize(spec, rng, dtype="f64"):
         bound = spec.init.theta / math.sqrt(cig * kh * kw)
         lo = -bound if spec.init.symmetric else 0.0
         data = rng.uniform(lo, bound, size=spec.kernel_shape)
-    elif spec.init.kind == "identity":
+    elif spec.init.kind == "identity":  # a 1 at the center tap, where single outer padding reads x
         data = np.zeros(spec.kernel_shape)
-        ci_total = spec.in_ch
-        for o in range(co):
-            if (o * ci_total) % spec.out_ch != 0:
-                continue
-            ci = (o * ci_total) // spec.out_ch
-            grp = o // (co // g)
-            lo_ch = grp * cig
-            if lo_ch <= ci < lo_ch + cig:
-                data[o, ci - lo_ch, 0, 0] = 1.0
+        o = np.arange(co)
+        ci, off = np.divmod(o * spec.in_ch, spec.out_ch)
+        keep = (off == 0) & (ci // cig == o // (co // g))  # co/Co == ci/Ci, inside o's group
+        data[o[keep], ci[keep] % cig, (kh - 1) // 2, (kw - 1) // 2] = 1.0
     elif spec.init.kind == "constant":
         data = np.full(spec.kernel_shape, float(spec.init.value))
     elif spec.init.kind == "avgpool":

@@ -1,6 +1,6 @@
 """Pins the public surface: orepa.__all__, the signature of every exported
-callable, and the CLI's subcommands and flags. Dropping or changing any of
-them needs a visible edit here."""
+callable, and the CLI's subcommands, flags and flag defaults. Dropping or
+changing any of them needs a visible edit here."""
 
 import argparse
 import inspect
@@ -84,6 +84,20 @@ CLI_FLAGS = {
     "analyze": ["--json", "--norms-csv", "--similarity-csv", "ckpt"],
 }
 
+# each subcommand's flag defaults, by destination
+CLI_DEFAULTS = {
+    "squeeze": {"json": None, "out": None, "spec": None, "trace": None},
+    "verify": {"batch": 2, "hw": (12, 12), "json": None, "kernel": None, "spec": None,
+               "tol": None, "trials": 20},
+    "gradcheck": {"batch": 1, "hw": (6, 6), "json": None, "spec": None},
+    "dynamics": {"eta": 0.01, "json": None, "layers": 3, "probe": None, "spec": None},
+    "bench": {"batch": 32, "hw": (56, 56), "json": None, "spec": None},
+    "train-toy": {"batch": 2, "eta": 0.05, "hw": (8, 8), "json": None, "mode": "online",
+                  "momentum": 0.0, "save": None, "spec": None, "steps": 200,
+                  "weight_decay": 0.0},
+    "analyze": {"ckpt": None, "json": None, "norms_csv": None, "similarity_csv": None},
+}
+
 
 def _describe(obj):
     if inspect.isclass(obj) and issubclass(obj, Exception):
@@ -112,3 +126,11 @@ def test_cli_subcommands_and_flags_are_pinned():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {cmd: _flags(sp) for cmd, sp in sub.choices.items()} == CLI_FLAGS
     assert _flags(parser) == ["--version", "command"]
+
+
+def test_cli_flag_defaults_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {cmd: {a.dest: a.default for a in sp._actions
+                 if not isinstance(a, argparse._HelpAction)}
+           for cmd, sp in sub.choices.items()}
+    assert got == CLI_DEFAULTS

@@ -1,3 +1,4 @@
+import inspect
 import json
 import runpy
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orepa.blocks import build_preset
 from orepa.blockspec import (SpecError, block_from_spec, load_checkpoint, load_schema,
                              load_spec, save_checkpoint, validate_spec)
 
@@ -61,6 +63,14 @@ def test_spec_files_and_benchmark_cases_validate():
     assert any("options" in doc for doc in docs)
     for doc in docs:
         validate_spec(doc)
+
+
+def test_every_preset_option_is_a_build_preset_keyword():
+    # a preset spec's options reach build_preset as they are, beside the
+    # arguments the spec's own keys fill
+    options = set(load_schema()["properties"]["options"]["properties"])
+    assert options <= set(inspect.signature(build_preset).parameters)
+    assert options.isdisjoint(["preset", "in_ch", "out_ch", "k", "dtype", "seed"])
 
 
 def _saved(tmp_path, doc):

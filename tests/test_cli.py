@@ -41,12 +41,15 @@ def _train_toy_momentum(m):
     (_train_toy_momentum("1.5"), (2, "error: momentum must be in [0, 1)\n")),
     (_train_toy_momentum("nan"), (2, "error: momentum must be in [0, 1)\n")),
     (_train_toy_momentum("-0.1"), (2, "error: momentum must be in [0, 1)\n")),
+    # flags are checked before the spec is read
+    (lambda: _exit_and_stderr(["train-toy", DATA / "nope.json", "--momentum", "1.5"]),
+     (2, "error: momentum must be in [0, 1)\n")),
     (lambda: _finite_or_null(np.float32(0.5)), 0.5),
     (lambda: _finite_or_null(np.int64(3)), 3),
     (lambda: _finite_or_null(np.bool_(True)), True),
     (lambda: _finite_or_null(np.float32("nan")), None),
-], ids=["momentum_1.5", "momentum_nan", "momentum_negative", "float32", "int64", "bool_",
-        "float32_nan"])
+], ids=["momentum_1.5", "momentum_nan", "momentum_negative", "momentum_before_missing_spec",
+        "float32", "int64", "bool_", "float32_nan"])
 def test_documented_edges(call, want):
     check_edge(call, want)
 

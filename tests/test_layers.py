@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orepa import layers as L
+from orepa.squeeze import BlockGraph, build_branch, expanded_forward
 from orepa.tensor import (ConvGeometry, KernelTensor, ShapeError, Tensor, conv2d_direct,
                           scale_by_channel)
 
@@ -35,6 +36,17 @@ def test_identity_is_passthrough():
     w = L.materialize(L.LayerSpec("identity1x1", 3, 3), 0)
     y = conv2d_direct(x, w)
     np.testing.assert_array_equal(y.data, x.data)
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "conv", "k": 2}, {"kind": "conv", "k": 3}, {"kind": "conv", "k": 5},
+    {"kind": "conv", "k": 3, "groups": 2}, {"kind": "depthwise", "k": 3},
+], ids=["conv_k2", "conv_k3", "conv_k5", "grouped_conv_k3", "depthwise_k3"])
+def test_identity_init_on_a_kxk_layer_passes_the_input_through(obj):
+    # the 1 sits at the center tap, the one single outer padding aligns with x
+    block = BlockGraph([build_branch(L.layer_specs([{**obj, "init": "identity"}], 4, 3), 0)])
+    x = Tensor(np.random.default_rng(0).uniform(-1, 1, size=(2, 4, 6, 7)))
+    np.testing.assert_array_equal(expanded_forward(block, x).data, x.data)
 
 
 def test_freq_filter_closed_form():

@@ -11,7 +11,7 @@ from orepa.blocks import build_preset
 from orepa.squeeze import (BlockGraph, Branch, MergeError, _fold, _trace,
                            apply_branch_scaling, block_forward_squeezed, build_branch,
                            cost_report, expanded_forward, merge_parallel,
-                           merge_sequential, squeeze_block)
+                           merge_sequential, squeeze_block, squeeze_branch)
 from orepa.tensor import KernelTensor, ShapeError, Tensor, conv2d_direct
 
 from oracles import merge_kernels_loop
@@ -444,3 +444,14 @@ def test_trace_records_shapes_and_mults():
     assert len(merges) == 2
     assert merges[0]["shapes"]["output"][-2:] == [5, 5]
     assert merges[1]["shapes"]["output"][-2:] == [7, 7]
+
+
+@pytest.mark.parametrize("name", ["1x1", "1x1_kxk", "dw_pw"])
+def test_squeeze_branch_extends_a_given_trace(name):
+    branch = next(b for b in build_preset("orepa3x3", 4, 4, 3, seed=0).branches if b.name == name)
+    trace = ["earlier step"]
+    kernel = squeeze_branch(branch, trace=trace)
+    assert trace == ["earlier step", *_trace(BlockGraph([branch]))]
+    plain = squeeze_branch(branch)
+    assert (kernel.shape, kernel.groups, kernel.dtype) == (plain.shape, plain.groups, plain.dtype)
+    assert kernel.data.tobytes() == plain.data.tobytes()

@@ -29,12 +29,13 @@ from util import check_edge, peak_bytes
     (lambda: conv2d_direct(Tensor(np.zeros((1, 2, 2))), KernelTensor(np.zeros((2, 1, 1, 1))),
                            bias=[1.0]),
      ShapeError("bias", (2,), (1,))),
+    (lambda: tensor.dtype_name(np.int32), ValueError("unsupported numpy dtype int32")),
     (lambda: Tensor(np.arange(8).reshape(2, 2, 2)).dtype, "f64"),
     (lambda: repr(Tensor(np.zeros((1, 2, 3)))), "Tensor(shape=(1, 2, 3), dtype=f64)"),
     (lambda: repr(KernelTensor(np.zeros((4, 1, 3, 3)), groups=2, dtype="f32")),
      "KernelTensor(shape=(4, 1, 3, 3), groups=2, dtype=f32)"),
 ], ids=["f16", "rank_2", "negative_pad", "f32_input_f64_kernel", "narrower_than_kernel",
-        "bias_length", "int_array_is_f64", "tensor_repr", "kernel_repr"])
+        "bias_length", "int32_dtype_name", "int_array_is_f64", "tensor_repr", "kernel_repr"])
 def test_documented_edges(call, want):
     check_edge(call, want)
 
