@@ -73,8 +73,9 @@ def block_from_spec(doc):
     """
     validate_spec(doc)
     try:
-        return _build_block(doc)
-    except (ShapeError, MergeError, OverflowError) as exc:
+        with np.errstate(over="raise"):
+            return _build_block(doc)
+    except (ShapeError, MergeError, ArithmeticError) as exc:
         raise SpecError(f"spec cannot be built: {exc}") from exc
 
 

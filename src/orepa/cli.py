@@ -4,12 +4,14 @@ train-toy, analyze.
 main checks the flags, then loads the spec (analyze: the checkpoint); each
 command gets (args, spec doc, block), prints its table and returns (report
 body, verdict), and main alone writes the report and picks the exit code.
-Exit codes: 0 pass, 1 invariant violation, 2 usage, spec (including one no
-block can be built from), checkpoint, kernel-file (including a kernel that
-does not fit the spec), file-system error or an input too large to allocate,
-3 internal error (a merge/shape error, or any other exception with its
-traceback). Reports are deterministic for a given (spec, seed, flags); no
-timestamps are emitted, and a NaN or infinite number is written as null.
+Exit codes: 0 pass, 1 invariant violation (analyze: a non-finite cosine or
+norm share), 2 usage, spec (including one no block can be built from, such
+as an f32 spec holding 1e300), checkpoint, kernel-file (including a kernel
+that does not fit the spec), file-system error or an input too large to
+allocate, 3 internal error (a merge/shape error, or any other exception
+with its traceback). Reports are deterministic for a given (spec, seed,
+flags), with no timestamps. A number past the float range is reported,
+written as null, and fails any check that reads it; numpy never warns.
 """
 
 from __future__ import annotations
@@ -68,10 +70,8 @@ def _finite_or_null(v):
     """The report as plain Python with numpy arrays and scalars converted
     and every NaN or infinite float replaced by None, so that it
     serializes as strict JSON (null)."""
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (np.ndarray, np.generic)):
         v = v.tolist()
-    if isinstance(v, np.generic):
-        v = v.item()
     if isinstance(v, float) and not math.isfinite(v):
         return None
     if isinstance(v, dict):
@@ -103,7 +103,6 @@ def cmd_squeeze(args, doc, block):
     }, True
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite output is reported, and fails
 def cmd_verify(args, doc, block):
     dtype = block.dtype
     tol = VERIFY_TOL[dtype] if args.tol is None else args.tol
@@ -147,7 +146,6 @@ def cmd_gradcheck(args, doc, block):
     return res, res["ok"]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a probe that overflows is reported, and fails
 def cmd_dynamics(args, doc, block):
     rng = np.random.default_rng(doc["seed"])
     eta = args.eta
@@ -199,8 +197,7 @@ def cmd_bench(args, doc, block):
 
 def cmd_train_toy(args, doc, block):
     rng = np.random.default_rng(doc["seed"] + 1)
-    keh, kew = block.effective_k
-    target_arr = rng.standard_normal((block.out_ch, block.in_ch, keh, kew)) * 0.2
+    target_arr = rng.standard_normal((block.out_ch, block.in_ch, *block.effective_k)) * 0.2
     target = KernelTensor(target_arr, dtype=block.dtype)
     cfg = OptimizerConfig(eta=args.eta, weight_decay=args.weight_decay, momentum=args.momentum)
     res = train_toy(block, target, args.steps, cfg, mode=args.mode,
@@ -241,7 +238,7 @@ def cmd_analyze(args, doc, block):
     print(f"mean off-diagonal |cosine| {mean_off:.4f}")
     return {"mean_offdiag_abs_cos": mean_off,
             "similarity_csv": args.similarity_csv,
-            "norms_csv": args.norms_csv}, True
+            "norms_csv": args.norms_csv}, np.isfinite(sim).all() and np.isfinite(prof).all()
 
 
 def build_parser():
@@ -323,11 +320,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     try:
         _check_flags(args)
-        doc, block = load_spec(args.spec) if "spec" in args else load_checkpoint(args.ckpt)
-        body, verdict = args.func(args, doc, block)
+        # a number past the float range is reported (null), fails its checks, and never warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            doc, block = load_spec(args.spec) if "spec" in args else load_checkpoint(args.ckpt)
+            body, verdict = args.func(args, doc, block)
         if args.json:
             report = {"tool_version": __version__, "seed": doc["seed"],
-                      "dtype": doc.get("dtype", "f64"),
+                      "dtype": block.dtype,
                       "command": args.command.replace("-", "_"), **body}
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(_finite_or_null(report), fh, sort_keys=True, indent=2,

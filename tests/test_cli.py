@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from orepa import layers as L
-from orepa.blockspec import block_from_spec, load_spec, save_checkpoint
+from orepa.blockspec import SpecError, block_from_spec, load_spec, save_checkpoint
 from orepa.cli import _finite_or_null, main
 from orepa.okt import read_okt, write_okt
 from orepa.tensor import KernelTensor, Tensor
@@ -215,8 +215,10 @@ def _malformed_argv(tmp_path, case):
         (tmp_path / "nonfinite.json").write_text(_json_text(NON_FINITE_SPEC[case]))
         return ["squeeze", tmp_path / "nonfinite.json", "--out", tmp_path / "k.okt"]
     if case in NON_FINITE_WEIGHT:
-        doc, block = load_spec(spec)
-        save_checkpoint(tmp_path / "bad.ckpt", doc, block)
+        doc = json.loads(spec.read_text())
+        if case == "checkpoint_f32_overflowing_weight":
+            doc["dtype"] = "f32"
+        save_checkpoint(tmp_path / "bad.ckpt", doc, block_from_spec(doc))
         payload = json.loads((tmp_path / "bad.ckpt").read_text())
         payload["branches"][0]["layers"][0]["data"][0] = NON_FINITE_WEIGHT[case]
         (tmp_path / "bad.ckpt").write_text(_json_text(payload))
@@ -304,6 +306,14 @@ CROSS_FORM_SPEC = {
 REFUSED_SPEC = {**UNBUILDABLE_SPEC, **CROSS_FORM_SPEC}
 
 
+# f32 specs holding a number too large for an f32: building the block overflows its cast
+F32_OVERFLOWING_SPEC = {
+    "spec_f32_overflowing_value": {**EVEN_BRANCH_SPEC, "dtype": "f32", "branches": [
+        [{"kind": "conv", "init": "constant", "value": 1e300}]]},
+    "spec_f32_overflowing_scaling": {**EVEN_BRANCH_SPEC, "dtype": "f32", "scaling_init": [1e300],
+                                     "branches": [[{"kind": "conv"}]]},
+}
+
 # specs holding one of the non-standard constants json.load accepts, or a
 # number literal that overflows to an infinity or is an integer too large
 # for a float
@@ -320,7 +330,14 @@ NON_FINITE_SPEC = {
                                 "branches": [[{"kind": "conv", "k": 3, "theta": 10 ** 400}]]},
     "spec_huge_integer_scaling": {**EVEN_BRANCH_SPEC, "scaling_init": [10 ** 400],
                                   "branches": [[{"kind": "conv", "k": 3}]]},
+    **F32_OVERFLOWING_SPEC,
 }
+
+
+@pytest.mark.parametrize("case", F32_OVERFLOWING_SPEC)
+def test_f32_spec_overflowing_f32_is_a_spec_error(case):
+    with pytest.raises(SpecError, match="^spec cannot be built: overflow encountered in cast$"):
+        block_from_spec(F32_OVERFLOWING_SPEC[case])
 
 
 def _json_text(doc):
@@ -341,11 +358,13 @@ UNINDEXABLE_INPUT = {"unindexable_input": ["verify", "--trials", 1],
                      "unindexable_gradcheck_input": ["gradcheck"],
                      "unindexable_train_input": ["train-toy", "--steps", 1]}
 
-# checkpoint weights that are not finite numbers (numpy would read null as NaN)
+# checkpoint weights that are not finite numbers (numpy would read null as NaN),
+# or that overflow the f32 of an f32 spec's checkpoint
 NON_FINITE_WEIGHT = {"checkpoint_nan_weight": float("nan"),
                      "checkpoint_overflowing_weight": "1e400",
                      "checkpoint_huge_integer_weight": 10 ** 400,
-                     "checkpoint_null_weight": None}
+                     "checkpoint_null_weight": None,
+                     "checkpoint_f32_overflowing_weight": 1e300}
 
 
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "spec_too_deep", "missing_checkpoint",
@@ -557,8 +576,6 @@ def test_train_toy_online_offline_same_loss(tmp_path):
     assert reports["online"]["final_loss"] < reports["online"]["first_loss"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_toy_diverging_in_its_last_update_exits_1(tmp_path, capsys):
     # one step at eta 1e300 leaves a finite first loss and a NaN final one
     out = tmp_path / "r.json"
@@ -566,6 +583,54 @@ def test_train_toy_diverging_in_its_last_update_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "diverged at step 1" in capsys.readouterr().out
     assert json.loads(out.read_text())["diverged_at"] == 1
+
+
+# a finite spec whose stacked merge overflows f64: each 3x3 tap of the first
+# branch's squeezed kernel sums products of 1e200 by 1e200
+OVERFLOW = {"in_ch": 2, "out_ch": 2, "k": 3, "seed": 0,
+            "branches": [[{"kind": "conv", "init": "constant", "value": 1e200},
+                          {"kind": "conv", "init": "constant", "value": 1e200}],
+                         [{"kind": "conv", "k": 5}]]}
+
+
+def _overflow_files(tmp_path, doc):
+    spec, ckpt = tmp_path / "overflow.json", tmp_path / "overflow.ckpt"
+    spec.write_text(json.dumps(doc))
+    save_checkpoint(ckpt, doc, block_from_spec(doc))
+    return spec, ckpt
+
+
+def test_overflowing_block_is_reported_and_fails_without_a_warning(tmp_path, capsys):
+    spec, ckpt = _overflow_files(tmp_path, OVERFLOW)
+    kernel, report = tmp_path / "k.okt", tmp_path / "r.json"
+    csvs = ["--similarity-csv", tmp_path / "s.csv", "--norms-csv", tmp_path / "n.csv"]
+    rcs = [run(["squeeze", spec, "--out", kernel]),
+           run(["verify", spec, "--kernel", kernel, "--trials", 1]),
+           run(["gradcheck", spec]),
+           run(["analyze", ckpt, *csvs, "--json", report])]
+    assert rcs == [0, 1, 1, 1]
+    assert capsys.readouterr().err == ""
+    assert json.loads(report.read_text())["mean_offdiag_abs_cos"] is None
+
+
+# checkpoints whose analysis leaves one table finite, and the CSV that holds it:
+# a lone overflowing branch (cosines [[1]], norm share inf / inf), and two equal
+# constant branches whose channel's 18 squares sum below the f64 maximum and whose
+# kernel's 36 sum above it (cosine inf / inf, norm shares 0.5)
+ONE_NON_FINITE_TABLE = {
+    "nan_norm_share": ({**OVERFLOW, "branches": OVERFLOW["branches"][:1]}, "s.csv"),
+    "nan_cosine": ({**OVERFLOW, "branches": [[{"kind": "conv", "init": "constant",
+                                               "value": 2.65e153}]] * 2}, "n.csv"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_NON_FINITE_TABLE)
+def test_analyze_fails_on_either_non_finite_table(tmp_path, case):
+    doc, finite_csv = ONE_NON_FINITE_TABLE[case]
+    _, ckpt = _overflow_files(tmp_path, doc)
+    csvs = ["--similarity-csv", tmp_path / "s.csv", "--norms-csv", tmp_path / "n.csv"]
+    assert run(["analyze", ckpt, *csvs]) == 1
+    assert "nan" not in (tmp_path / finite_csv).read_text()
 
 
 def test_analyze_two_identical_branches(tmp_path):
@@ -660,6 +725,13 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     assert "effective kernel 7x7" in proc.stdout
     assert out.exists()
+
+
+def test_cli_overflow_subprocess_exits_1_without_a_warning(tmp_path):
+    spec, _ = _overflow_files(tmp_path, OVERFLOW)
+    proc = subprocess.run([sys.executable, "-m", "orepa.cli", "gradcheck", str(spec)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_repo_schema_matches_package_schema():

@@ -898,8 +898,6 @@ def test_train_toy_single_conv_converges():
     assert res["final_loss"] <= 1e-6
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_toy_divergence_reported():
     branch = build_branch([L.LayerSpec("conv", 1, 1, k=3)], np.random.default_rng(0),
                           scaling=np.ones(1))
