@@ -154,15 +154,17 @@ def load_checkpoint(path):
         block = block_from_spec(doc)
         # the strict zips and the built shapes make the comparison below check
         # the file against its spec, not only against itself
-        for branch, saved in zip(block.branches, payload["branches"], strict=True):
-            branch.weights = [KernelTensor(np.reshape(layer["data"], w.shape), w.groups, w.dtype)
-                              for w, layer in zip(branch.weights, saved["layers"], strict=True)]
-            if branch.scaling is not None:
-                branch.scaling = np.reshape(np.asarray(saved["scaling"], branch.scaling.dtype),
-                                            branch.scaling.shape)
+        with np.errstate(over="raise"):  # a cast past f32's range names the overflow
+            for branch, saved in zip(block.branches, payload["branches"], strict=True):
+                branch.weights = [
+                    KernelTensor(np.reshape(layer["data"], w.shape), w.groups, w.dtype)
+                    for w, layer in zip(branch.weights, saved["layers"], strict=True)]
+                if branch.scaling is not None:
+                    branch.scaling = np.reshape(np.asarray(saved["scaling"], branch.scaling.dtype),
+                                                branch.scaling.shape)
     except SpecError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise SpecError(f"malformed checkpoint {path}: {exc!r}") from exc
     if _payload(doc, block) != payload:
         raise SpecError(f"checkpoint {path} is not what save_checkpoint writes for its spec")

@@ -81,10 +81,10 @@ class ParamSet:
         return out
 
     def get_flat(self):
-        """The frozen f64 vector set_flat kept, while every entry still holds the
-        array set_flat installed; else a new gather, as in an f32 block."""
+        """The frozen f64 vector set_flat kept, while every kernel and scaling is
+        still a view of it; else a new gather, as in an f32 block."""
         if self._flat is not None and all(
-                self._held(e) is a for e, a in zip(self.entries, self._installed)):
+                np.may_share_memory(self._held(e), self._flat) for e in self.entries):
             return self._flat
         return self._gather(self._held)
 
@@ -102,8 +102,7 @@ class ParamSet:
                 branch.scaling = chunk
                 continue
             branch.weights[e.layer] = KernelTensor(chunk, groups=branch.weights[e.layer].groups)
-        self._installed = [self._held(e) for e in self.entries]
-        self._flat = flat if all(a.dtype == np.float64 for a in self._installed) else None
+        self._flat = flat if self.block.dtype == "f64" else None
 
     def flatten_grads(self, grad_map):
         """grad_map: {(branch, layer): array}, layer -1 for gamma; KeyError if one is missing."""
@@ -205,27 +204,19 @@ def backward_through_expanded(block, x, upstream):
     return ParamSet(block).flatten_grads(grad_map)
 
 
-def inner_loss(block, x, upstream):
-    """L = <upstream, conv(x, W_e)> via the squeezed route."""
-    y = block_forward_squeezed(block, x)
-    return float(np.sum(_batched(upstream)[0] * _batched(y)[0]))
-
-
 def finite_difference_grads(block, x, upstream, eps=1e-6):
-    """Central finite differences of inner_loss over every trainable scalar."""
+    """Central finite differences of L = <upstream, conv(x, W_e)>, via the
+    squeezed route, over every trainable scalar."""
     ps = ParamSet(block)
     base = ps.get_flat()
-    out = np.zeros_like(base)
-    for i in range(base.size):
+
+    def loss_at(i, step):
         probe = base.copy()  # set_flat freezes its vector: a new probe each time
-        probe[i] = base[i] + eps
+        probe[i] += step
         ps.set_flat(probe)
-        hi = inner_loss(block, x, upstream)
-        probe = base.copy()
-        probe[i] = base[i] - eps
-        ps.set_flat(probe)
-        lo = inner_loss(block, x, upstream)
-        out[i] = (hi - lo) / (2 * eps)
+        return float(np.sum(_batched(upstream)[0] * _batched(block_forward_squeezed(block, x))[0]))
+
+    out = np.array([(loss_at(i, eps) - loss_at(i, -eps)) / (2 * eps) for i in range(base.size)])
     ps.set_flat(base)
     return out
 

@@ -16,7 +16,7 @@ from orepa.cli import _finite_or_null, main
 from orepa.okt import read_okt, write_okt
 from orepa.tensor import KernelTensor, Tensor
 
-from util import check_edge, okt_bytes
+from util import check_edge, golden_note, okt_bytes
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,7 +80,7 @@ def test_squeeze_orepa3x3_matches_golden_hash(tmp_path):
     assert rc == 0
     digest = hashlib.sha256(read_okt(out).data.tobytes()).hexdigest()
     want = (GOLDEN / "orepa3x3_kernel.sha256").read_text().strip()
-    assert digest == want
+    assert digest == want, golden_note()
 
 
 def test_verify_passes_on_preset(tmp_path):
@@ -216,11 +216,13 @@ def _malformed_argv(tmp_path, case):
         return ["squeeze", tmp_path / "nonfinite.json", "--out", tmp_path / "k.okt"]
     if case in NON_FINITE_WEIGHT:
         doc = json.loads(spec.read_text())
-        if case == "checkpoint_f32_overflowing_weight":
+        if case.startswith("checkpoint_f32_"):
             doc["dtype"] = "f32"
         save_checkpoint(tmp_path / "bad.ckpt", doc, block_from_spec(doc))
         payload = json.loads((tmp_path / "bad.ckpt").read_text())
-        payload["branches"][0]["layers"][0]["data"][0] = NON_FINITE_WEIGHT[case]
+        saved = payload["branches"][0]
+        values = saved["scaling"] if case.endswith("_scaling") else saved["layers"][0]["data"]
+        values[0] = NON_FINITE_WEIGHT[case]
         (tmp_path / "bad.ckpt").write_text(_json_text(payload))
         return ["analyze", tmp_path / "bad.ckpt", *csvs]
     if case == "unallocatable_weights":
@@ -359,12 +361,13 @@ UNINDEXABLE_INPUT = {"unindexable_input": ["verify", "--trials", 1],
                      "unindexable_train_input": ["train-toy", "--steps", 1]}
 
 # checkpoint weights that are not finite numbers (numpy would read null as NaN),
-# or that overflow the f32 of an f32 spec's checkpoint
+# or a weight and a scaling that overflow the f32 of an f32 spec's checkpoint
 NON_FINITE_WEIGHT = {"checkpoint_nan_weight": float("nan"),
                      "checkpoint_overflowing_weight": "1e400",
                      "checkpoint_huge_integer_weight": 10 ** 400,
                      "checkpoint_null_weight": None,
-                     "checkpoint_f32_overflowing_weight": 1e300}
+                     "checkpoint_f32_overflowing_weight": 1e300,
+                     "checkpoint_f32_overflowing_scaling": 1e300}
 
 
 @pytest.mark.parametrize("case", [*MALFORMED_OKT, "spec_too_deep", "missing_checkpoint",
@@ -382,6 +385,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert rc == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    if "_f32_overflowing_" in case:  # the one line names the overflow, not only a refusal
+        assert "overflow" in err
 
 
 def test_unexpected_exception_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
@@ -542,7 +547,7 @@ def test_verify_report_matches_golden(tmp_path):
     assert rc == 0
     got = json.loads(out.read_text())
     want = json.loads((GOLDEN / "verify_orepa3x3.json").read_text())
-    assert got == want
+    assert got == want, golden_note()
 
 
 def test_squeeze_report_matches_golden(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from orepa import layers as L
 from orepa.blocks import build_preset
+from orepa.blockspec import block_from_spec
 from orepa.dynamics import (OptimizerConfig, ParamSet, SgdState, _relative_gap,
                             backward_through_expanded, backward_through_squeeze,
                             branch_similarity, channel_norm_profile,
@@ -117,6 +120,31 @@ def test_get_flat_reads_an_entry_replaced_from_outside(replaced):
     want[e.offset:e.offset + e.size] = 0.25
     got = ps.get_flat()
     assert got is not v and got.tobytes() == want.tobytes()
+
+
+def test_get_flat_returns_a_view_it_was_given():
+    # a row of a caller's 2-D array is f64 and contiguous: set_flat keeps it
+    # as it is, and get_flat returns it without a gather, though its .base is
+    # the caller's array
+    block = build_preset("orepa3x3", 4, 4, 3, seed=2)
+    ps = ParamSet(block)
+    hist = np.random.default_rng(0).standard_normal((3, ps.size))
+    row = hist[1]
+    ps.set_flat(row)
+    assert ps.get_flat() is row
+
+
+def test_set_flat_of_an_f32_block_keeps_no_reference_to_its_vector():
+    # an f32 block's kernels and scalings are rounded copies, so the vector
+    # is not their storage and dies with its last outside reference
+    block = build_preset("orepa3x3", 4, 4, 3, dtype="f32", seed=2)
+    ps = ParamSet(block)
+    v = np.random.default_rng(0).standard_normal(ps.size)
+    ref = weakref.ref(v)
+    ps.set_flat(v)
+    del v
+    gc.collect()
+    assert ref() is None
 
 
 def test_get_flat_of_an_f32_block_is_its_rounded_values():
@@ -412,6 +440,31 @@ def test_online_backward_allocation_bound_at_32_channels(preset, measured):
     # (1302456 B) exceeds it. deepstem: its three-layer stem's prefix
     # products alive through the walk (2102664 B) exceed it
     assert _online_backward_peak(preset, 32, (28, 28), 4) <= 1.02 * measured
+
+
+def test_online_backward_peak_stays_flat_as_branches_are_added():
+    # OREPA's claim: added branches cost the online backward only their
+    # parameters, and the offline one their maps. 64 channels, 56x56, batch 2, f64,
+    # M branches alternating a 3x3 conv and a 1x1 then 3x3 conv, each scaled
+    # by 1.0. Measured peaks for M = 1, 2, 4, 8: online 3776304, 3775408,
+    # 3775368 and 4998272 B; offline 7692782, 11433024, 12058081 and
+    # 13308226 B. The online bound is M = 1's peak plus the M-branch gradient
+    # vector (295424 to 2494464 B), plus 2%
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 64, 56, 56)))
+    g = Tensor(rng.standard_normal((2, 64, 56, 56)))
+    online, offline, sizes = [], [], []
+    for m in (1, 2, 4, 8):
+        block = block_from_spec({
+            "in_ch": 64, "out_ch": 64, "k": 3, "seed": 0, "dtype": "f64",
+            "scaling_init": [1.0] * m,
+            "branches": [[{"kind": "conv", "k": 1}, {"kind": "conv"}] if b % 2 else
+                         [{"kind": "conv"}] for b in range(m)]})
+        online.append(peak_bytes(lambda: backward_through_squeeze(block, x, g)))
+        offline.append(peak_bytes(lambda: backward_through_expanded(block, x, g)))
+        sizes.append(ParamSet(block).size)
+    assert all(peak <= 1.02 * (online[0] + 8 * n) for peak, n in zip(online, sizes))
+    assert all(a < b for a, b in zip(offline, offline[1:]))
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -991,6 +1044,16 @@ def test_the_squeezed_loss_books_no_trace(monkeypatch):
     x = rand_input(rng, block, hw=(5, 5), batch=1)
     g = Tensor(rng.standard_normal((1, 2, 5, 5)))
     assert np.all(np.isfinite(finite_difference_grads(block, x, g)))
+
+
+def test_finite_difference_grads_of_a_block_with_no_trainable_scalar_is_empty():
+    block = BlockGraph(branches=[build_branch(L.layer_specs([{"kind": "avgpool"}], 2, 3),
+                                              np.random.default_rng(0))])
+    rng = np.random.default_rng(1)
+    x = rand_input(rng, block)
+    g = Tensor(rng.standard_normal((2, 2, 8, 8)))
+    got = finite_difference_grads(block, x, g)
+    assert got.shape == (0,) and got.dtype == np.float64
 
 
 def test_train_toy_rejects_bad_target_geometry():

@@ -23,6 +23,8 @@ import pytest
 
 from orepa.cli import main
 
+from util import blas_core, golden_note
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
 SPEC = str(DATA / "orepa3x3.json")
@@ -61,9 +63,15 @@ def run_case(argvs, tmp):
 def test_report_matches_golden(tmp_path, name):
     got = run_case(CASES[name], tmp_path)
     want = json.loads(GOLDEN.read_text())[name]
-    assert got["exit"] == want["exit"]
-    assert got["stdout"] == want["stdout"]
-    assert got["report"] == dump(want["report"])
+    assert got["exit"] == want["exit"], golden_note()
+    assert got["stdout"] == want["stdout"], golden_note()
+    assert got["report"] == dump(want["report"]), golden_note()
+
+
+def test_blas_core_names_a_core():
+    # the name a golden failure gives: a core, or "unknown"
+    core = blas_core()
+    assert isinstance(core, str) and core
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")

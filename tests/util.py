@@ -1,8 +1,9 @@
 """Shared test helpers: a seeded random block generator, the same
 generator as a hypothesis strategy, an independent finite-difference
 oracle that goes through the expanded evaluation, the bytes of an OKT
-file with a given header, the allocation peak of one call, and the check
-of a documented edge (a call and the error or value it gives).
+file with a given header, the allocation peak of one call, the check of a
+documented edge (a call and the error or value it gives), and the OpenBLAS
+core that a golden failure names.
 
 The seeded generator, make_random_block, serves only two checks: the
 acceptance criteria 1 and 2, which print fixed counts of blocks, and
@@ -10,7 +11,10 @@ test_gradients_match_independent_fd, whose finite differences are too slow
 to run per hypothesis example. Every other randomized check of a block
 draws it from block_graphs."""
 
+import ctypes
+import glob
 import json
+import os
 import re
 import struct
 import tracemalloc
@@ -193,3 +197,25 @@ def check_edge(call, want):
     else:
         got = call()
         assert got == want and type(got) is type(want)
+
+
+def blas_core():
+    """The core numpy's bundled OpenBLAS runs, read through ctypes from the
+    library perfbench/machine.py opens; "unknown" when no such library holds
+    scipy_openblas_get_corename64_."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if fn is not None:
+            fn.restype, fn.argtypes = ctypes.c_char_p, []
+            return fn().decode()
+    return "unknown"
+
+
+def golden_note():
+    """A golden test's failure message: each OpenBLAS core rounds its GEMMs
+    differently, and the goldens hold the bytes of one."""
+    return f"the goldens were written under the SkylakeX OpenBLAS core; this run's is {blas_core()}"
